@@ -25,8 +25,8 @@ DEFAULT_EPSILON = 1e-8
 
 @dataclass
 class LossValue:
-    loss: float  # nats, >= 0
-    grad: Tensor  # w.r.t. the pre-softmax logits; entries sum to ~0
+    loss: float | np.ndarray  # nats, >= 0; one value per sample for a batch
+    grad: Tensor | np.ndarray  # w.r.t. the pre-softmax logits; rows sum to ~0
 
 
 @dataclass
@@ -48,12 +48,12 @@ class AdamState:
         self.v = np.zeros(self.shape)
 
 
-def _one_hot_index(target: Tensor) -> int:
-    data = target.data
-    ones = np.flatnonzero(data == 1.0)
-    if len(ones) != 1 or not np.all((data == 0.0) | (data == 1.0)):
+def _one_hot_indices(targets: np.ndarray) -> np.ndarray:
+    """Column of the single 1 in each row; raises unless every row is one-hot."""
+    ones = targets == 1.0
+    if not (np.all(ones | (targets == 0.0)) and np.all(ones.sum(axis=1) == 1)):
         raise ValidationError("target must be one-hot (a single 1, rest 0)")
-    return int(ones[0])
+    return ones.argmax(axis=1)
 
 
 def cross_entropy(probs: Tensor, one_hot_target: Tensor) -> float:
@@ -65,26 +65,36 @@ def cross_entropy(probs: Tensor, one_hot_target: Tensor) -> float:
         )
     if abs(float(probs.data.sum()) - 1.0) > 1e-9:
         raise ValidationError("probs must sum to 1 within 1e-9")
-    idx = _one_hot_index(one_hot_target)
+    idx = _one_hot_indices(one_hot_target.array[None])[0]
     return -math.log(max(float(probs.data[idx]), PROB_FLOOR))
 
 
-def softmax_ce_grad(logits: Tensor, one_hot_target: Tensor) -> LossValue:
+def softmax_ce_grad(logits, one_hot_target) -> LossValue:
     """Loss of softmax(logits) against the target, and its logits gradient.
 
-    The gradient is softmax(logits) - target, the closed form for the
-    softmax/cross-entropy pair.
+    Takes (samples, classes) ndarrays of logits and one-hot rows, and then
+    returns one loss per sample; or one sample as Tensor vectors, and then
+    returns a float and a Tensor. The gradient is softmax(logits) - target,
+    the closed form for the softmax/cross-entropy pair.
     """
-    if logits.shape != one_hot_target.shape or logits.rank != 1:
+    single = isinstance(logits, Tensor)
+    if single:
+        z, target = logits.array[None], one_hot_target.array[None]
+    else:
+        z, target = logits, one_hot_target
+    if z.shape != target.shape or z.ndim != 2:
         raise DimensionError(
-            f"logits {logits.shape} and target {one_hot_target.shape} must be "
-            "equal-length vectors"
+            f"logits {z.shape} and target {target.shape} must be "
+            "equal-shape (samples, classes) arrays"
         )
-    idx = _one_hot_index(one_hot_target)
-    probs = softmax(logits)
-    loss = -math.log(max(float(probs.data[idx]), PROB_FLOOR))
-    grad = Tensor._wrap(probs.array - one_hot_target.array)
-    return LossValue(loss=loss, grad=grad)
+    idx = _one_hot_indices(target)
+    probs = softmax(z)
+    picked = probs[np.arange(len(idx)), idx]
+    losses = np.array([-math.log(max(float(p), PROB_FLOOR)) for p in picked])
+    grad = probs - target
+    if single:
+        return LossValue(loss=float(losses[0]), grad=Tensor._wrap(grad[0]))
+    return LossValue(loss=losses, grad=grad)
 
 
 def adam_step(state: AdamState, params: Tensor, grads: Tensor) -> Tensor:

@@ -50,6 +50,17 @@ def test_train_data_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+def test_train_rejects_non_finite_or_non_positive_lr(flow_csv, tmp_path, capsys, lr):
+    out = tmp_path / "m.fsnt"
+    assert run(["train", "--data", flow_csv, "--lr", lr, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: lr must be a finite number > 0")
+    assert captured.err.count("\n") == 1  # one line, no traceback
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_train_rejects_unknown_label(tmp_path):
     p = write_flow_csv(tmp_path / "odd.csv", n_per_class=12,
                        labels=("Benign", "DDoS-TCP", "Mystery-Attack"))
