@@ -26,7 +26,6 @@ from .optim import (
     AdamState,
     LossValue,
     adam_step,
-    cross_entropy,
     glorot_uniform_init,
     softmax_ce_grad,
 )
@@ -36,11 +35,10 @@ from .pipeline import (
     apply_standardizer,
     encode_labels,
     fit_standardizer,
-    one_hot,
     stratified_split,
 )
 from .store import ModelMetadata, load_model, save_model
-from .tensor import Tensor, elementwise, matvec, reshape
+from .tensor import Tensor
 from .trainer import (
     ArchitectureConfig,
     ModelParams,
@@ -48,6 +46,7 @@ from .trainer import (
     TrainHistory,
     build_model,
     evaluate,
+    param_shapes,
     predict,
     train,
 )
@@ -82,9 +81,7 @@ __all__ = [
     "build_model",
     "classification_report",
     "confusion_matrix",
-    "cross_entropy",
     "default_taxonomy",
-    "elementwise",
     "encode_labels",
     "evaluate",
     "fit_standardizer",
@@ -93,10 +90,8 @@ __all__ = [
     "load_model",
     "load_taxonomy",
     "map_labels",
-    "matvec",
-    "one_hot",
+    "param_shapes",
     "predict",
-    "reshape",
     "save_model",
     "softmax_ce_grad",
     "stratified_split",

@@ -108,7 +108,10 @@ def run(argv: list[str] | None = None) -> int:
             "predict": _cmd_predict,
             "inspect": _cmd_inspect,
         }[args.command]
-        handler(args)
+        # Overflow is caught by explicit finiteness checks and reported as
+        # one error line, so numpy's own warnings would only add noise.
+        with np.errstate(all="ignore"):
+            handler(args)
         return EXIT_OK
     except _UsageError as exc:
         print(parser.format_usage(), end="", file=sys.stderr)
@@ -263,9 +266,9 @@ def _cmd_inspect(args) -> None:
         print(f"  {i}: {name}")
     print("parameters:")
     total = 0
-    for name, t in model.param_tensors():
-        total += t.size
-        print(f"  {name}: shape {tuple(t.shape)}, {t.size} values")
+    for name, values in model.params.items():
+        total += values.size
+        print(f"  {name}: shape {values.shape}, {values.size} values")
     print(f"  total: {total} values")
     print("taxonomy rules:")
     for rule in taxonomy.rules:

@@ -34,8 +34,8 @@ from .tensor import Tensor, fold_sum
 
 @dataclass
 class Conv1DLayer:
-    weights: Tensor  # (filters, in_channels, kernel_size)
-    bias: Tensor  # (filters,)
+    weights: Tensor | np.ndarray  # (filters, in_channels, kernel_size)
+    bias: Tensor | np.ndarray  # (filters,)
     in_channels: int
     filters: int
     kernel_size: int
@@ -54,11 +54,11 @@ class Conv1DLayer:
 
 @dataclass
 class DenseLayer:
-    weights: Tensor  # (out, in)
-    bias: Tensor  # (out,)
+    weights: Tensor | np.ndarray  # (out, in)
+    bias: Tensor | np.ndarray  # (out,)
 
     def __post_init__(self):
-        if self.weights.rank != 2:
+        if len(self.weights.shape) != 2:
             raise DimensionError(
                 f"dense weights must be rank 2, got {self.weights.shape}"
             )
@@ -89,6 +89,11 @@ def _batch(x) -> np.ndarray:
     return x.array[None] if isinstance(x, Tensor) else x
 
 
+def _values(param) -> np.ndarray:
+    """A layer's weights or bias, held as a Tensor or as a plain array."""
+    return param.array if isinstance(param, Tensor) else param
+
+
 def _check_conv_input(layer: Conv1DLayer, x: np.ndarray) -> tuple[int, int]:
     if x.ndim != 3 or x.shape[2] != layer.in_channels:
         raise DimensionError(
@@ -109,9 +114,9 @@ def conv1d_forward(layer: Conv1DLayer, x):
     single = isinstance(x, Tensor)
     x = _batch(x)
     _, t_out = _check_conv_input(layer, x)
-    w = np.ascontiguousarray(layer.weights.array.transpose(1, 2, 0))  # (c,k,f)
+    w = np.ascontiguousarray(_values(layer.weights).transpose(1, 2, 0))  # (c,k,f)
     out = np.empty((x.shape[0], t_out, layer.filters))
-    out[...] = layer.bias.array
+    out[...] = _values(layer.bias)
     term = np.empty_like(out)
     for c in range(layer.in_channels):
         for k in range(layer.kernel_size):
@@ -123,7 +128,7 @@ def conv1d_backward(layer: Conv1DLayer, x, grad_out) -> LayerGrads:
     single = isinstance(x, Tensor)
     x, g = _batch(x), _batch(grad_out)
     length, t_out = _check_conv_input(layer, x)
-    w = layer.weights.array
+    w = _values(layer.weights)
     n, k = x.shape[0], layer.kernel_size
     if g.shape != (n, t_out, layer.filters):
         raise DimensionError(
@@ -229,7 +234,7 @@ def dense_forward(layer: DenseLayer, x):
             f"dense input must be (samples, {in_dim}), got {x.shape}"
         )
     xt = np.ascontiguousarray(x.T)[:, :, None]  # (in, N, 1)
-    wt = np.ascontiguousarray(layer.weights.array.T)[:, None, :]  # (in, 1, out)
+    wt = np.ascontiguousarray(_values(layer.weights).T)[:, None, :]  # (in, 1, out)
     out = xt[0] * wt[0]
     # Fold the column terms a block at a time: the running sum, then the
     # block's products, stacked and left-folded in one call.
@@ -240,7 +245,7 @@ def dense_forward(layer: DenseLayer, x):
         stack[0] = out
         np.multiply(xt[j : j + m], wt[j : j + m], out=stack[1 : m + 1])
         out = fold_sum(stack[: m + 1])
-    out += layer.bias.array
+    out += _values(layer.bias)
     return Tensor._wrap(out[0]) if single else out
 
 
@@ -262,7 +267,7 @@ def dense_backward(layer: DenseLayer, x, grad_out) -> LayerGrads:
     for i in range(1, n):
         d_weights += np.multiply(g[i, :, None], x[i], out=term)
     d_bias = fold_sum(g)
-    d_input = np.einsum("ni,ij->nj", g, layer.weights.array)
+    d_input = np.einsum("ni,ij->nj", g, _values(layer.weights))
     if single:
         return LayerGrads(
             d_weights=Tensor._wrap(d_weights),

@@ -56,19 +56,6 @@ def _one_hot_indices(targets: np.ndarray) -> np.ndarray:
     return ones.argmax(axis=1)
 
 
-def cross_entropy(probs: Tensor, one_hot_target: Tensor) -> float:
-    """-log(probs[target]) with a clipping floor of PROB_FLOOR."""
-    if probs.shape != one_hot_target.shape or probs.rank != 1:
-        raise DimensionError(
-            f"probs {probs.shape} and target {one_hot_target.shape} must be "
-            "equal-length vectors"
-        )
-    if abs(float(probs.data.sum()) - 1.0) > 1e-9:
-        raise ValidationError("probs must sum to 1 within 1e-9")
-    idx = _one_hot_indices(one_hot_target.array[None])[0]
-    return -math.log(max(float(probs.data[idx]), PROB_FLOOR))
-
-
 def softmax_ce_grad(logits, one_hot_target) -> LossValue:
     """Loss of softmax(logits) against the target, and its logits gradient.
 
@@ -97,21 +84,21 @@ def softmax_ce_grad(logits, one_hot_target) -> LossValue:
     return LossValue(loss=losses, grad=grad)
 
 
-def adam_step(state: AdamState, params: Tensor, grads: Tensor) -> Tensor:
-    """One Adam update; mutates state, returns the new parameter tensor."""
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """One Adam update; mutates state and returns the new parameters as a new
+    array. `params` itself is never written to."""
     if params.shape != state.shape or grads.shape != state.shape:
         raise DimensionError(
             f"params {params.shape} / grads {grads.shape} do not match "
             f"optimizer state {state.shape}"
         )
-    g = grads.array
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (g * g)
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (grads * grads)
     m_hat = state.m / (1.0 - state.beta1**state.t)
     v_hat = state.v / (1.0 - state.beta2**state.t)
     update = state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return Tensor._wrap(params.array - update)
+    return params - update
 
 
 def glorot_uniform_init(

@@ -1,4 +1,4 @@
-"""Preprocessing chain: label encoding, one-hot conversion, z-score
+"""Preprocessing chain: label encoding, one-hot rows, z-score
 standardization with a zero-variance guard, and stratified splitting.
 
 The standardizer is fitted on the training rows only and replayed unchanged
@@ -40,6 +40,12 @@ class PreprocState:
             len(self.means) == len(self.stds) == len(self.degenerate) == self.feature_count
         ):
             raise ValidationError("preprocessing state arrays disagree on feature count")
+        bad = ~(np.isfinite(self.means) & np.isfinite(self.stds))
+        if bad.any():
+            raise ValidationError(
+                f"feature {int(np.argmax(bad)) + 1}: standardizer mean or std "
+                "is not finite (values too large to standardize)"
+            )
         if np.any(self.stds <= 0.0):
             raise ValidationError("stored stds must all be positive")
         if len(set(self.label_map)) != len(self.label_map):
@@ -60,16 +66,6 @@ def encode_labels(raw_labels: Sequence[str]) -> tuple[list[str], list[int]]:
     label_map = sorted(set(raw_labels))
     index = {label: i for i, label in enumerate(label_map)}
     return label_map, [index[label] for label in raw_labels]
-
-
-def one_hot(class_index: int, num_classes: int) -> Tensor:
-    if not 0 <= class_index < num_classes:
-        raise ValidationError(
-            f"class index {class_index} out of range for {num_classes} classes"
-        )
-    v = np.zeros(num_classes)
-    v[class_index] = 1.0
-    return Tensor._wrap(v)
 
 
 def one_hot_rows(class_indices: Sequence[int], num_classes: int) -> Tensor:
@@ -120,6 +116,12 @@ def apply_standardizer(state: PreprocState, features: Tensor) -> Tensor:
             f"{state.feature_count}, got {features.shape[1]}"
         )
     z = (features.array - state.means) / state.stds
+    if not np.isfinite(z).all():
+        sample, feature = np.argwhere(~np.isfinite(z))[0]
+        raise ValidationError(
+            f"sample {sample + 1}, feature {feature + 1}: standardized value "
+            "is not finite (too far outside the training range)"
+        )
     return Tensor._wrap(z[:, :, None])
 
 

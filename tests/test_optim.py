@@ -5,9 +5,9 @@ import pytest
 
 from flowsentinel.errors import DimensionError, ValidationError
 from flowsentinel.optim import (
+    PROB_FLOOR,
     AdamState,
     adam_step,
-    cross_entropy,
     glorot_uniform_init,
     softmax_ce_grad,
 )
@@ -16,28 +16,38 @@ from flowsentinel.tensor import Tensor
 from oracles import assert_grad_close, central_diff
 
 
+# Cross-entropy is reached through softmax_ce_grad, the softmax/CE pair the
+# engine trains with: the loss is -log(softmax(logits)[target]), floored.
+
 def test_cross_entropy_perfect_prediction():
-    assert cross_entropy(Tensor([1.0, 0.0, 0.0]), Tensor([1.0, 0.0, 0.0])) == 0.0
+    # exp(-1000) underflows to 0, so the target's probability is exactly 1
+    lv = softmax_ce_grad(Tensor([1000.0, 0.0, 0.0]), Tensor([1.0, 0.0, 0.0]))
+    assert lv.loss == 0.0
 
 
 def test_cross_entropy_half():
-    loss = cross_entropy(Tensor([0.5, 0.5]), Tensor([1.0, 0.0]))
-    assert abs(loss - math.log(2.0)) < 1e-15
+    lv = softmax_ce_grad(Tensor([3.0, 3.0]), Tensor([1.0, 0.0]))
+    assert abs(lv.loss - math.log(2.0)) < 1e-15
 
 
 def test_cross_entropy_clipping_floor():
-    loss = cross_entropy(Tensor([0.0, 1.0]), Tensor([1.0, 0.0]))
-    assert math.isfinite(loss)
-    assert abs(loss - 27.631021115928547) < 1e-12  # -ln(1e-12)
+    # softmax gives the target about exp(-100) < PROB_FLOOR; the loss is
+    # clipped at -ln(PROB_FLOOR), for one sample and for a batch
+    lv = softmax_ce_grad(Tensor([0.0, 100.0]), Tensor([1.0, 0.0]))
+    assert math.isfinite(lv.loss)
+    assert abs(lv.loss - 27.631021115928547) < 1e-12  # -ln(1e-12)
+    assert lv.loss == -math.log(PROB_FLOOR)
+    batch = softmax_ce_grad(np.array([[0.0, 100.0], [0.0, 0.0]]), np.eye(2))
+    assert batch.loss[0] == -math.log(PROB_FLOOR)
 
 
 def test_cross_entropy_validation():
     with pytest.raises(DimensionError):
-        cross_entropy(Tensor([1.0, 0.0]), Tensor([1.0, 0.0, 0.0]))
+        softmax_ce_grad(Tensor([1.0, 0.0]), Tensor([1.0, 0.0, 0.0]))
     with pytest.raises(ValidationError):
-        cross_entropy(Tensor([0.5, 0.5]), Tensor([0.5, 0.5]))  # not one-hot
+        softmax_ce_grad(Tensor([0.5, 0.5]), Tensor([0.5, 0.5]))  # not one-hot
     with pytest.raises(ValidationError):
-        cross_entropy(Tensor([0.9, 0.3]), Tensor([1.0, 0.0]))  # bad sum
+        softmax_ce_grad(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]))
 
 
 def test_cross_entropy_nonnegative_random():
@@ -48,7 +58,7 @@ def test_cross_entropy_nonnegative_random():
         p /= p.sum()
         target = np.zeros(5)
         target[rng.integers(0, 5)] = 1.0
-        loss = cross_entropy(Tensor(p), Tensor(target))
+        loss = softmax_ce_grad(Tensor(z), Tensor(target)).loss
         assert loss >= 0.0
         if p[int(np.argmax(target))] < 1.0:
             assert loss > 0.0  # zero loss only for a certain correct prediction
@@ -96,44 +106,44 @@ def test_softmax_ce_grad_finite_differences():
 
 def test_adam_first_step_constant_gradient():
     state = AdamState(shape=(4,))
-    params = Tensor([1.0, -2.0, 0.5, 3.0])
-    new = adam_step(state, params, Tensor(np.ones(4)))
+    params = np.array([1.0, -2.0, 0.5, 3.0])
+    new = adam_step(state, params, np.ones(4))
     expected_delta = -0.001 / (1.0 + 1e-8)  # -0.000999999990
-    assert np.allclose(new.array - params.array, expected_delta, rtol=0, atol=1e-15)
+    assert np.allclose(new - params, expected_delta, rtol=0, atol=1e-15)
     assert state.t == 1
 
 
 def test_adam_zero_gradient_is_noop():
     state = AdamState(shape=(3,))
-    params = Tensor([1.0, 2.0, 3.0])
-    new = adam_step(state, params, Tensor.zeros((3,)))
-    assert new == params
+    params = np.array([1.0, 2.0, 3.0])
+    new = adam_step(state, params, np.zeros(3))
+    assert np.array_equal(new, params)
 
 
 def test_adam_second_step_constant_gradient():
     state = AdamState(shape=(2,))
-    params = Tensor([0.0, 0.0])
-    p1 = adam_step(state, params, Tensor(np.ones(2)))
-    p2 = adam_step(state, p1, Tensor(np.ones(2)))
+    params = np.array([0.0, 0.0])
+    p1 = adam_step(state, params, np.ones(2))
+    p2 = adam_step(state, p1, np.ones(2))
     # bias correction keeps m_hat = v_hat = 1 under a constant gradient
-    assert np.allclose(p2.array - p1.array, -0.001, rtol=0, atol=1e-9)
+    assert np.allclose(p2 - p1, -0.001, rtol=0, atol=1e-9)
     assert state.t == 2
 
 
 def test_adam_shape_mismatch():
     state = AdamState(shape=(3,))
     with pytest.raises(DimensionError):
-        adam_step(state, Tensor([1.0, 2.0]), Tensor([1.0, 2.0]))
+        adam_step(state, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
 def test_adam_descends_one_parameter_quadratic():
     for lr in (0.1, 0.01, 0.001):
         for p0 in (1.0, -0.5, 3.0):
             state = AdamState(shape=(1,), lr=lr)
-            p = Tensor([p0])
-            grad = Tensor([2.0 * p0])
+            p = np.array([p0])
+            grad = np.array([2.0 * p0])
             p_new = adam_step(state, p, grad)
-            assert p_new.array[0] ** 2 < p0**2
+            assert p_new[0] ** 2 < p0**2
 
 
 def test_glorot_bound_is_one_for_fans_three():

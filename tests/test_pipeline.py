@@ -3,10 +3,10 @@ import pytest
 
 from flowsentinel.errors import ValidationError
 from flowsentinel.pipeline import (
+    PreprocState,
     apply_standardizer,
     encode_labels,
     fit_standardizer,
-    one_hot,
     one_hot_rows,
     stratified_split,
 )
@@ -37,25 +37,28 @@ def test_encode_labels_empty():
 
 
 def test_one_hot():
-    assert one_hot(1, 3).tolist() == [0.0, 1.0, 0.0]
-    assert one_hot(0, 1).tolist() == [1.0]
+    assert one_hot_rows([1], 3).tolist() == [[0.0, 1.0, 0.0]]
+    assert one_hot_rows([0], 1).tolist() == [[1.0]]
     with pytest.raises(ValidationError):
-        one_hot(3, 3)
+        one_hot_rows([3], 3)
+    with pytest.raises(ValidationError):
+        one_hot_rows([0, -1], 3)
 
 
 def test_encode_one_hot_argmax_round_trip():
     labels = ["DoS", "Benign", "MQTT", "Benign", "DoS"]
     label_map, idx = encode_labels(labels)
+    rows = one_hot_rows(idx, len(label_map))
     for i, c in enumerate(idx):
-        v = one_hot(c, len(label_map))
-        assert int(np.argmax(v.array)) == c
-        assert label_map[int(np.argmax(v.array))] == labels[i]
+        assert int(np.argmax(rows.array[i])) == c
+        assert label_map[int(np.argmax(rows.array[i]))] == labels[i]
 
 
-def test_one_hot_rows_matches_one_hot():
+def test_one_hot_rows_stacks_one_row_per_index():
     rows = one_hot_rows([2, 0, 1], 3)
-    for i, c in enumerate((2, 0, 1)):
-        assert np.array_equal(rows.array[i], one_hot(c, 3).array)
+    assert rows.shape == (3, 3)
+    assert rows.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    assert one_hot_rows([], 4).shape == (0, 4)
 
 
 def test_fit_standardizer_two_points():
@@ -110,6 +113,27 @@ def test_apply_standardizer_feature_count_mismatch():
     with pytest.raises(ValidationError) as err:
         apply_standardizer(state, Tensor([[1.0, 2.0, 3.0]]))
     assert "2" in str(err.value) and "3" in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_standardizer_state_must_be_finite():
+    # the column sum overflows, so the mean is inf and the std NaN
+    with pytest.raises(ValidationError, match="feature 2: standardizer"):
+        fit_standardizer(Tensor([[1.0, 1.7e308], [3.0, 1.7e308]]))
+    for bad in ({"means": [0.0, np.nan]}, {"stds": [1.0, np.inf]}):
+        fields = {"means": [0.0, 0.0], "stds": [1.0, 1.0], **bad}
+        with pytest.raises(ValidationError, match="not finite"):
+            PreprocState(degenerate=[False, False], label_map=[],
+                         feature_count=2, **fields)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_apply_standardizer_rejects_non_finite_zscores():
+    state = PreprocState(means=[0.0, 0.0], stds=[1.0, 1e-300],
+                         degenerate=[False, False], label_map=[], feature_count=2)
+    assert apply_standardizer(state, Tensor([[1.0, 1e-10]])).shape == (1, 2, 1)
+    with pytest.raises(ValidationError, match="sample 2, feature 2"):
+        apply_standardizer(state, Tensor([[1.0, 1e-10], [1.0, 1e10]]))
 
 
 def test_standardize_is_invertible():

@@ -45,9 +45,9 @@ def saved(tmp_path):
 def test_round_trip_preserves_everything(saved):
     path, model, pre, metadata, names = saved
     loaded, pre2, tax2, meta2, names2 = load_model(str(path))
-    for (n1, t1), (n2, t2) in zip(model.param_tensors(), loaded.param_tensors()):
+    for (n1, t1), (n2, t2) in zip(model.params.items(), loaded.params.items()):
         assert n1 == n2
-        assert t1 == t2
+        assert np.array_equal(t1, t2)
     assert np.array_equal(pre2.means, pre.means)
     assert np.array_equal(pre2.stds, pre.stds)
     assert np.array_equal(pre2.degenerate, pre.degenerate)

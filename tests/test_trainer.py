@@ -15,13 +15,13 @@ from flowsentinel.pipeline import (
 )
 from flowsentinel.tensor import Tensor
 from flowsentinel.trainer import (
-    PARAM_ORDER,
     ArchitectureConfig,
     TrainConfig,
     build_model,
     evaluate,
     flatten_length,
     loss_and_gradients,
+    param_shapes,
     predict,
     shape_chain,
     train,
@@ -62,14 +62,14 @@ def test_build_model_f16_shapes():
         ArchitectureConfig(feature_count=16, class_count=3),
         np.random.default_rng(0),
     )
-    assert model.conv1.weights.shape == (32, 1, 3)
-    assert model.conv2.weights.shape == (64, 32, 3)
-    assert model.dense1.weights.shape == (128, 128)
-    assert model.output.weights.shape == (3, 128)
-    assert [name for name, _ in model.param_tensors()] == list(PARAM_ORDER)
-    for _, t in model.param_tensors():
-        assert np.all(np.isfinite(t.array))
-    assert not model.conv1.bias.data.any()  # biases start at zero
+    assert model.params["conv1.weights"].shape == (32, 1, 3)
+    assert model.params["conv2.weights"].shape == (64, 32, 3)
+    assert model.params["dense1.weights"].shape == (128, 128)
+    assert model.params["output.weights"].shape == (3, 128)
+    assert list(model.params) == list(param_shapes(model.arch))
+    for values in model.params.values():
+        assert np.all(np.isfinite(values))
+    assert not model.params["conv1.bias"].any()  # biases start at zero
 
 
 def test_feature_count_too_small_rejected():
@@ -85,8 +85,8 @@ def test_build_model_deterministic_per_seed():
     arch = ArchitectureConfig(feature_count=12, class_count=3)
     a = build_model(arch, np.random.default_rng(123))
     b = build_model(arch, np.random.default_rng(123))
-    for (_, ta), (_, tb) in zip(a.param_tensors(), b.param_tensors()):
-        assert ta == tb
+    for ta, tb in zip(a.params.values(), b.params.values()):
+        assert np.array_equal(ta, tb)
 
 
 # --- end-to-end gradients ---------------------------------------------------
@@ -102,7 +102,7 @@ def test_end_to_end_gradient_matches_finite_differences():
         y = np.zeros(3)
         y[rng.integers(0, 3)] = 1.0
         loss, grads, _ = loss_and_gradients(model, Tensor(x), Tensor(y))
-        params = {name: t.array.copy() for name, t in model.param_tensors()}
+        params = {name: p.copy() for name, p in model.params.items()}
         assert abs(fast_model_loss(params, x, y) - loss) <= 1e-12 * max(1.0, abs(loss))
         for name in params:
             numeric = central_diff(
@@ -123,8 +123,8 @@ def test_train_determinism_bit_exact():
         model, hist = train(model, x3, y, cfg, split=split)
         results.append((model, hist))
     (m1, h1), (m2, h2) = results
-    for (_, t1), (_, t2) in zip(m1.param_tensors(), m2.param_tensors()):
-        assert t1 == t2
+    for t1, t2 in zip(m1.params.values(), m2.params.values()):
+        assert np.array_equal(t1, t2)
     assert h1.train_loss == h2.train_loss
     assert h1.val_loss == h2.val_loss
     assert h1.train_acc == h2.train_acc
@@ -208,6 +208,18 @@ def test_early_stopping_stops_and_restores_best():
     assert hist.val_loss[hist.best_epoch] == best
 
 
+def test_divergence_guard_names_epoch_batch_and_parameter(monkeypatch):
+    import flowsentinel.trainer as trainer_module
+
+    _, _, _, _, split, _, x3, y = _prepared_blobs(20, seed=3, val_fraction=0.2)
+    model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
+    monkeypatch.setattr(trainer_module, "adam_step",
+                        lambda state, params, grads: params + np.inf)
+    with pytest.raises(ValidationError,
+                       match="epoch 1, batch 1: conv1.weights is not finite"):
+        train(model, x3, y, TrainConfig(epochs=2, seed=0), split=split)
+
+
 def test_early_stopping_requires_validation_samples():
     _, _, _, _, _, _, x3, y = _prepared_blobs(4, seed=5)
     cfg = TrainConfig(epochs=2, early_stop_patience=1)
@@ -245,14 +257,26 @@ def test_predict_probabilities_and_memorized_labels(memorizer):
 
 def test_predict_tie_breaks_to_lowest_index():
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
-    model.set_param("output.weights", Tensor.zeros((3, 128)))
-    model.set_param("output.bias", Tensor.zeros((3,)))
+    model.params["output.weights"] = np.zeros((3, 128))
+    model.params["output.bias"] = np.zeros(3)
     pre = fit_standardizer(
         Tensor(np.random.default_rng(1).standard_normal((8, 16)))
     )
     pred_idx, probs = predict(model, pre, Tensor(np.random.default_rng(2).standard_normal((4, 16))))
     assert pred_idx == [0, 0, 0, 0]
     assert np.allclose(probs.array, 1 / 3, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_predict_rejects_non_finite_outputs():
+    model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
+    model.params["dense1.bias"] = np.full(128, 1e10)
+    model.params["output.weights"] = np.full((3, 128), 1e300)
+    pre = fit_standardizer(
+        Tensor(np.random.default_rng(1).standard_normal((8, 16)))
+    )
+    with pytest.raises(ValidationError, match="sample 1: the model's outputs"):
+        predict(model, pre, Tensor(np.random.default_rng(2).standard_normal((4, 16))))
 
 
 def test_evaluate_memorized_training_set_is_perfect(memorizer):
