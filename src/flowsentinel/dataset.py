@@ -138,6 +138,8 @@ def load_taxonomy(path: str) -> Taxonomy:
 
 
 def _read_header_and_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows; rejects duplicate column names and any row
+    whose field count differs from the header's."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -145,9 +147,18 @@ def _read_header_and_rows(path: str) -> tuple[list[str], list[list[str]]]:
                 header = next(reader)
             except StopIteration:
                 raise SchemaError(f"{path}: file is empty, header row required")
-            return header, list(reader)
+            rows = list(reader)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: duplicate column names in header")
+    ragged = [str(r + 1) for r, row in enumerate(rows) if len(row) != len(header)]
+    if ragged:
+        raise DatasetError(
+            f"{path}: rows with wrong field count rejected: rows "
+            + ", ".join(ragged[:_MAX_REPORTED_CELLS])
+        )
+    return header, rows
 
 
 def _parse_feature_block(
@@ -160,14 +171,11 @@ def _parse_feature_block(
     bad: list[str] = []
     for r, row in enumerate(rows):
         for out_j, j in enumerate(columns):
-            cell = row[j] if j < len(row) else None
-            ok = False
-            if cell is not None:
-                try:
-                    v = float(cell)
-                    ok = math.isfinite(v)
-                except ValueError:
-                    ok = False
+            try:
+                v = float(row[j])
+                ok = math.isfinite(v)
+            except ValueError:
+                ok = False
             if not ok:
                 if len(bad) < _MAX_REPORTED_CELLS:
                     bad.append(f"row {r + 1}, column {names[out_j]}")
@@ -186,8 +194,6 @@ def _parse_feature_block(
 def load_csv(path: str, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
     """Parse a flow-feature CSV into float64 features plus string labels."""
     header, rows = _read_header_and_rows(path)
-    if len(set(header)) != len(header):
-        raise SchemaError(f"{path}: duplicate column names in header")
     if label_column not in header:
         raise SchemaError(
             f"{path}: label column {label_column!r} not in header "
@@ -196,12 +202,6 @@ def load_csv(path: str, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
     label_j = header.index(label_column)
     feature_cols = [j for j in range(len(header)) if j != label_j]
     feature_names = [header[j] for j in feature_cols]
-    short = [str(r + 1) for r, row in enumerate(rows) if len(row) != len(header)]
-    if short:
-        raise DatasetError(
-            f"{path}: rows with wrong field count rejected: rows "
-            + ", ".join(short[:_MAX_REPORTED_CELLS])
-        )
     values = _parse_feature_block(rows, feature_cols, feature_names, path)
     labels = [row[label_j] for row in rows]
     return Dataset(
@@ -219,8 +219,6 @@ def load_feature_matrix(path: str, feature_names: Sequence[str]) -> Tensor:
     does not need to be labeled.
     """
     header, rows = _read_header_and_rows(path)
-    if len(set(header)) != len(header):
-        raise SchemaError(f"{path}: duplicate column names in header")
     missing = [name for name in feature_names if name not in header]
     if missing:
         raise SchemaError(

@@ -7,9 +7,7 @@ Kernels take plain float64 ndarrays whose first axis is the sample: conv and
 flatten inputs are (N, length, channels), dense and softmax inputs
 (N, width). One sample is the N=1 batch of the same kernel. Max pooling works
 on rows (length, channels); a batch is pooled as the rows of all its samples,
-each trimmed to whole windows, so no window spans two samples. Every kernel
-also takes a single sample as a Tensor without the sample axis and then
-answers in Tensors, for callers that score one sample at a time.
+each trimmed to whole windows, so no window spans two samples.
 
 Every sum runs in a fixed order, so results are bit-equal to naive loops and
 do not depend on N or on a sample's place in its batch:
@@ -29,13 +27,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, InternalError
-from .tensor import Tensor, fold_sum
+from .tensor import fold_sum
 
 
 @dataclass
 class Conv1DLayer:
-    weights: Tensor | np.ndarray  # (filters, in_channels, kernel_size)
-    bias: Tensor | np.ndarray  # (filters,)
+    weights: np.ndarray  # (filters, in_channels, kernel_size)
+    bias: np.ndarray  # (filters,)
     in_channels: int
     filters: int
     kernel_size: int
@@ -54,8 +52,8 @@ class Conv1DLayer:
 
 @dataclass
 class DenseLayer:
-    weights: Tensor | np.ndarray  # (out, in)
-    bias: Tensor | np.ndarray  # (out,)
+    weights: np.ndarray  # (out, in)
+    bias: np.ndarray  # (out,)
 
     def __post_init__(self):
         if len(self.weights.shape) != 2:
@@ -71,7 +69,7 @@ class DenseLayer:
 
 @dataclass
 class LayerGrads:
-    """Gradients of one layer call; Tensors when the call got a Tensor sample."""
+    """Gradients of one layer call."""
 
     d_weights: np.ndarray  # summed over the batch in sample order
     d_bias: np.ndarray  # summed over the batch in sample order
@@ -82,16 +80,6 @@ class LayerGrads:
 # columns to amortise the call cost on narrow layers, few enough to stay in
 # cache on wide ones.
 _FOLD_BLOCK_BYTES = 1 << 19
-
-
-def _batch(x) -> np.ndarray:
-    """A Tensor argument is one sample without its sample axis: add it."""
-    return x.array[None] if isinstance(x, Tensor) else x
-
-
-def _values(param) -> np.ndarray:
-    """A layer's weights or bias, held as a Tensor or as a plain array."""
-    return param.array if isinstance(param, Tensor) else param
 
 
 def _check_conv_input(layer: Conv1DLayer, x: np.ndarray) -> tuple[int, int]:
@@ -109,88 +97,79 @@ def _check_conv_input(layer: Conv1DLayer, x: np.ndarray) -> tuple[int, int]:
     return length, length - layer.kernel_size + 1
 
 
-def conv1d_forward(layer: Conv1DLayer, x):
+def conv1d_forward(layer: Conv1DLayer, x: np.ndarray) -> np.ndarray:
     """out[n,t,f] = bias[f] + sum over ascending (c,k) of w[f,c,k]*x[n,t+k,c]."""
-    single = isinstance(x, Tensor)
-    x = _batch(x)
     _, t_out = _check_conv_input(layer, x)
-    w = np.ascontiguousarray(_values(layer.weights).transpose(1, 2, 0))  # (c,k,f)
+    w = np.ascontiguousarray(layer.weights.transpose(1, 2, 0))  # (c,k,f)
     out = np.empty((x.shape[0], t_out, layer.filters))
-    out[...] = _values(layer.bias)
+    out[...] = layer.bias
     term = np.empty_like(out)
     for c in range(layer.in_channels):
         for k in range(layer.kernel_size):
             out += np.multiply(x[:, k : k + t_out, c, None], w[c, k], out=term)
-    return Tensor._wrap(out[0]) if single else out
+    return out
 
 
-def conv1d_backward(layer: Conv1DLayer, x, grad_out) -> LayerGrads:
-    single = isinstance(x, Tensor)
-    x, g = _batch(x), _batch(grad_out)
+def conv1d_backward(
+    layer: Conv1DLayer, x: np.ndarray, grad_out: np.ndarray
+) -> LayerGrads:
     length, t_out = _check_conv_input(layer, x)
-    w = _values(layer.weights)
+    w = layer.weights
     n, k = x.shape[0], layer.kernel_size
-    if g.shape != (n, t_out, layer.filters):
+    if grad_out.shape != (n, t_out, layer.filters):
         raise DimensionError(
-            f"grad_out must be ({n}, {t_out}, {layer.filters}), got {g.shape}"
+            f"grad_out must be ({n}, {t_out}, {layer.filters}), "
+            f"got {grad_out.shape}"
         )
     windows = sliding_window_view(x, k, axis=1)  # (N, t_out, in_ch, k)
     # One einsum per sample, on that sample's contiguous slices: the same
     # call, with the same operand layout, as for a lone sample, so its sum
     # over t rounds the same way.
-    d_weights = np.einsum("tf,tck->fck", g[0], windows[0])
+    d_weights = np.einsum("tf,tck->fck", grad_out[0], windows[0])
     term = np.empty_like(d_weights)
     for i in range(1, n):
-        d_weights += np.einsum("tf,tck->fck", g[i], windows[i], out=term)
-    d_bias = fold_sum(np.add.reduce(g, axis=1))
+        d_weights += np.einsum("tf,tck->fck", grad_out[i], windows[i], out=term)
+    d_bias = fold_sum(np.add.reduce(grad_out, axis=1))
     d_input = np.zeros((n, length, layer.in_channels))
     for tap in range(k):
-        d_input[:, tap : tap + t_out] += np.einsum("ntf,fc->ntc", g, w[:, :, tap])
-    if single:
-        return LayerGrads(
-            d_weights=Tensor._wrap(d_weights),
-            d_bias=Tensor._wrap(d_bias),
-            d_input=Tensor._wrap(d_input[0]),
+        d_input[:, tap : tap + t_out] += np.einsum(
+            "ntf,fc->ntc", grad_out, w[:, :, tap]
         )
     return LayerGrads(d_weights=d_weights, d_bias=d_bias, d_input=d_input)
 
 
-def maxpool1d_forward(x, pool: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def maxpool1d_forward(x: np.ndarray, pool: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Non-overlapping max pooling of (length, channels) rows; returns
     (pooled, flat argmax per cell).
 
     Stride equals the pool size; a trailing remainder shorter than the window
     is dropped. Ties go to the first (lowest) index.
     """
-    single = isinstance(x, Tensor)
-    rows = x.array if single else x
-    if rows.ndim != 2:
-        raise DimensionError(f"pool input must be rank 2, got {rows.shape}")
+    if x.ndim != 2:
+        raise DimensionError(f"pool input must be rank 2, got {x.shape}")
     if pool < 1:
         raise DimensionError(f"pool size must be >= 1, got {pool}")
-    length, channels = rows.shape
+    length, channels = x.shape
     if length < pool:
         raise DimensionError(
             f"input too short to pool: length {length} < pool {pool}"
         )
     t_out = length // pool
-    v = rows[: t_out * pool].reshape(t_out, pool, channels)
+    v = x[: t_out * pool].reshape(t_out, pool, channels)
     pooled = v.max(axis=1)
     within = v.argmax(axis=1)  # first index on ties
     cells = np.arange(t_out)[:, None] * pool + within
     argmax_indices = cells * channels + np.arange(channels)[None, :]
-    return (Tensor._wrap(pooled) if single else pooled), argmax_indices
+    return pooled, argmax_indices
 
 
 def maxpool1d_backward(
-    argmax_indices: np.ndarray, grad_out, input_shape: tuple[int, int]
-):
+    argmax_indices: np.ndarray, grad_out: np.ndarray, input_shape: tuple[int, int]
+) -> np.ndarray:
     """Route each output gradient to its recorded argmax position."""
-    single = isinstance(grad_out, Tensor)
-    g = grad_out.array if single else grad_out
-    if g.shape != argmax_indices.shape:
+    if grad_out.shape != argmax_indices.shape:
         raise DimensionError(
-            f"grad_out {g.shape} does not match argmax grid "
+            f"grad_out {grad_out.shape} does not match argmax grid "
             f"{argmax_indices.shape}"
         )
     length, channels = input_shape
@@ -201,40 +180,32 @@ def maxpool1d_backward(
             f"argmax index outside input of shape {tuple(input_shape)}"
         )
     flat = np.zeros(total)
-    np.add.at(flat, idx, g.reshape(-1))
-    out = flat.reshape(length, channels)
-    return Tensor._wrap(out) if single else out
+    np.add.at(flat, idx, grad_out.reshape(-1))
+    return flat.reshape(length, channels)
 
 
-def relu(x):
-    if isinstance(x, Tensor):
-        return Tensor._wrap(np.maximum(x.array, 0.0))
+def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def relu_backward(x, grad_out):
+def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Pass gradient where x > 0; the derivative at exactly 0 is 0."""
-    single = isinstance(x, Tensor)
-    xa, g = (x.array, grad_out.array) if single else (x, grad_out)
-    if xa.shape != g.shape:
+    if x.shape != grad_out.shape:
         raise DimensionError(
-            f"relu grad shape mismatch: {xa.shape} vs {g.shape}"
+            f"relu grad shape mismatch: {x.shape} vs {grad_out.shape}"
         )
-    out = np.where(xa > 0.0, g, 0.0)
-    return Tensor._wrap(out) if single else out
+    return np.where(x > 0.0, grad_out, 0.0)
 
 
-def dense_forward(layer: DenseLayer, x):
+def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     """y[n] = W x[n] + b, each row summed in ascending column order."""
-    single = isinstance(x, Tensor)
-    x = _batch(x)
     in_dim = layer.weights.shape[1]
     if x.ndim != 2 or x.shape[1] != in_dim:
         raise DimensionError(
             f"dense input must be (samples, {in_dim}), got {x.shape}"
         )
     xt = np.ascontiguousarray(x.T)[:, :, None]  # (in, N, 1)
-    wt = np.ascontiguousarray(_values(layer.weights).T)[:, None, :]  # (in, 1, out)
+    wt = np.ascontiguousarray(layer.weights.T)[:, None, :]  # (in, 1, out)
     out = xt[0] * wt[0]
     # Fold the column terms a block at a time: the running sum, then the
     # block's products, stacked and left-folded in one call.
@@ -245,58 +216,46 @@ def dense_forward(layer: DenseLayer, x):
         stack[0] = out
         np.multiply(xt[j : j + m], wt[j : j + m], out=stack[1 : m + 1])
         out = fold_sum(stack[: m + 1])
-    out += _values(layer.bias)
-    return Tensor._wrap(out[0]) if single else out
+    out += layer.bias
+    return out
 
 
-def dense_backward(layer: DenseLayer, x, grad_out) -> LayerGrads:
-    single = isinstance(x, Tensor)
-    x, g = _batch(x), _batch(grad_out)
+def dense_backward(
+    layer: DenseLayer, x: np.ndarray, grad_out: np.ndarray
+) -> LayerGrads:
     out_dim, in_dim = layer.weights.shape
     n = x.shape[0]
     if x.shape != (n, in_dim):
         raise DimensionError(
             f"dense input must be (samples, {in_dim}), got {x.shape}"
         )
-    if g.shape != (n, out_dim):
+    if grad_out.shape != (n, out_dim):
         raise DimensionError(
-            f"dense grad_out must be ({n}, {out_dim}), got {g.shape}"
+            f"dense grad_out must be ({n}, {out_dim}), got {grad_out.shape}"
         )
-    d_weights = np.multiply(g[0, :, None], x[0])  # outer product
+    d_weights = np.multiply(grad_out[0, :, None], x[0])  # outer product
     term = np.empty_like(d_weights)
     for i in range(1, n):
-        d_weights += np.multiply(g[i, :, None], x[i], out=term)
-    d_bias = fold_sum(g)
-    d_input = np.einsum("ni,ij->nj", g, _values(layer.weights))
-    if single:
-        return LayerGrads(
-            d_weights=Tensor._wrap(d_weights),
-            d_bias=Tensor._wrap(d_bias),
-            d_input=Tensor._wrap(d_input[0]),
-        )
+        d_weights += np.multiply(grad_out[i, :, None], x[i], out=term)
+    d_bias = fold_sum(grad_out)
+    d_input = np.einsum("ni,ij->nj", grad_out, layer.weights)
     return LayerGrads(d_weights=d_weights, d_bias=d_bias, d_input=d_input)
 
 
-def softmax(x):
+def softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise max-subtracted softmax; finite for any finite input."""
-    single = isinstance(x, Tensor)
-    x = _batch(x)
     if x.ndim != 2 or x.shape[1] == 0:
         raise DimensionError(
             f"softmax expects non-empty rows (samples, classes), got {x.shape}"
         )
     e = np.exp(x - x.max(axis=1, keepdims=True))
-    out = e / e.sum(axis=1, keepdims=True)
-    return Tensor._wrap(out[0]) if single else out
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def flatten(x):
+def flatten(x: np.ndarray) -> np.ndarray:
     """Row-major flattening of each sample; the backward pass is a reshape."""
-    single = isinstance(x, Tensor)
-    x = _batch(x)
     if x.ndim != 3:
         raise DimensionError(
             f"flatten expects (samples, length, channels), got {x.shape}"
         )
-    out = x.reshape(x.shape[0], -1)
-    return Tensor._wrap(out[0]) if single else out
+    return x.reshape(x.shape[0], -1)

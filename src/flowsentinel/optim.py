@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .layers import softmax
-from .tensor import Tensor
 
 # Probabilities are clipped at this floor inside the loss so a confident
 # wrong prediction yields a large finite value instead of infinity.
@@ -25,8 +24,8 @@ DEFAULT_EPSILON = 1e-8
 
 @dataclass
 class LossValue:
-    loss: float | np.ndarray  # nats, >= 0; one value per sample for a batch
-    grad: Tensor | np.ndarray  # w.r.t. the pre-softmax logits; rows sum to ~0
+    loss: np.ndarray  # nats, >= 0; one value per sample
+    grad: np.ndarray  # w.r.t. the pre-softmax logits; rows sum to ~0
 
 
 @dataclass
@@ -56,32 +55,23 @@ def _one_hot_indices(targets: np.ndarray) -> np.ndarray:
     return ones.argmax(axis=1)
 
 
-def softmax_ce_grad(logits, one_hot_target) -> LossValue:
+def softmax_ce_grad(logits: np.ndarray, one_hot_target: np.ndarray) -> LossValue:
     """Loss of softmax(logits) against the target, and its logits gradient.
 
-    Takes (samples, classes) ndarrays of logits and one-hot rows, and then
-    returns one loss per sample; or one sample as Tensor vectors, and then
-    returns a float and a Tensor. The gradient is softmax(logits) - target,
-    the closed form for the softmax/cross-entropy pair.
+    Takes (samples, classes) arrays of logits and one-hot rows and returns
+    one loss per sample. The gradient is softmax(logits) - target, the
+    closed form for the softmax/cross-entropy pair.
     """
-    single = isinstance(logits, Tensor)
-    if single:
-        z, target = logits.array[None], one_hot_target.array[None]
-    else:
-        z, target = logits, one_hot_target
-    if z.shape != target.shape or z.ndim != 2:
+    if logits.shape != one_hot_target.shape or logits.ndim != 2:
         raise DimensionError(
-            f"logits {z.shape} and target {target.shape} must be "
+            f"logits {logits.shape} and target {one_hot_target.shape} must be "
             "equal-shape (samples, classes) arrays"
         )
-    idx = _one_hot_indices(target)
-    probs = softmax(z)
+    idx = _one_hot_indices(one_hot_target)
+    probs = softmax(logits)
     picked = probs[np.arange(len(idx)), idx]
     losses = np.array([-math.log(max(float(p), PROB_FLOOR)) for p in picked])
-    grad = probs - target
-    if single:
-        return LossValue(loss=float(losses[0]), grad=Tensor._wrap(grad[0]))
-    return LossValue(loss=losses, grad=grad)
+    return LossValue(loss=losses, grad=probs - one_hot_target)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -103,12 +93,12 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
 
 def glorot_uniform_init(
     shape: Sequence[int], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> Tensor:
-    """I.i.d. uniform on [-b, b] with b = sqrt(6 / (fan_in + fan_out))."""
+) -> np.ndarray:
+    """I.i.d. uniform on [-b, b] with b = sqrt(6 / (fan_in + fan_out)), as a
+    new writable array."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValidationError(
             f"fans must be positive, got fan_in={fan_in}, fan_out={fan_out}"
         )
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    values = rng.uniform(-bound, bound, size=tuple(int(d) for d in shape))
-    return Tensor._wrap(np.ascontiguousarray(values))
+    return rng.uniform(-bound, bound, size=tuple(int(d) for d in shape))

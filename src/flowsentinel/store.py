@@ -13,7 +13,7 @@ Container layout (byte-exact layout in docs/model-file-format.md):
 Writes are atomic (temp file + rename). save -> load -> save is
 byte-identical; all invariants are revalidated on load, and the tensor
 directory must be exactly the architecture's parameter table, with every
-value finite.
+value finite. save_model runs the same table check before it writes.
 """
 
 from __future__ import annotations
@@ -110,7 +110,12 @@ def save_model(
     metadata: ModelMetadata,
     feature_names: list[str],
 ) -> None:
-    """Write the container atomically (temp file in the same directory)."""
+    """Write the container atomically (temp file in the same directory).
+
+    The parameter table gets the reader's checks first; a table that
+    load_model would refuse raises ModelStoreError and writes nothing.
+    """
+    _check_table(path, model.arch, list(model.params.items()))
     header = _header_dict(model, preproc, taxonomy, metadata, feature_names)
     header_bytes = json.dumps(
         header, separators=(",", ":"), ensure_ascii=False, allow_nan=False
@@ -180,7 +185,6 @@ def load_model(
     try:
         arch = ArchitectureConfig(**header["architecture"])
         entries = header["tensors"]
-        _check_directory(path, arch, entries)
         expected_total = 0
         for entry in entries:
             if entry["offset"] != expected_total:
@@ -188,7 +192,9 @@ def load_model(
                     f"{path}: tensor {entry['name']} at offset "
                     f"{entry['offset']}, expected {expected_total}"
                 )
-            if entry["byte_length"] != math.prod(entry["shape"]) * 8:
+            if entry["byte_length"] != math.prod(entry["shape"]) * 8 or any(
+                d < 0 for d in entry["shape"]
+            ):
                 raise ModelStoreError(
                     f"{path}: tensor {entry['name']} declares "
                     f"{entry['byte_length']} bytes for shape {entry['shape']}"
@@ -199,18 +205,15 @@ def load_model(
                 f"{path}: payload truncated, expected {expected_total} bytes, "
                 f"found {len(payload)} (short by {expected_total - len(payload)})"
             )
-        params = {}
-        for entry in entries:
-            values = np.frombuffer(
+        tensors = [
+            (entry["name"], np.frombuffer(
                 payload, dtype="<f8", count=entry["byte_length"] // 8,
                 offset=entry["offset"],
-            ).astype(np.float64).reshape(entry["shape"])
-            if not np.isfinite(values).all():
-                raise ModelStoreError(
-                    f"{path}: tensor {entry['name']} holds a non-finite value"
-                )
-            params[entry["name"]] = values
-        model = ModelParams(arch=arch, params=params)
+            ).astype(np.float64).reshape(entry["shape"]))
+            for entry in entries
+        ]
+        _check_table(path, arch, tensors)
+        model = ModelParams(arch=arch, params=dict(tensors))
         pre = header["preprocessing"]
         preproc = PreprocState(
             means=np.array(pre["means"], dtype=np.float64),
@@ -261,20 +264,25 @@ def load_model(
     return model, preproc, taxonomy, metadata, feature_names
 
 
-def _check_directory(path: str, arch: ArchitectureConfig, entries: list) -> None:
-    """The tensor directory must list param_shapes(arch): the same names, in
-    the same order, with the same shapes."""
+def _check_table(
+    path: str, arch: ArchitectureConfig, tensors: list[tuple[str, np.ndarray]]
+) -> None:
+    """The (name, values) pairs of a parameter table, and so the file's
+    tensor directory, must be param_shapes(arch): the same names, in the
+    same order, with the same shapes; and every value must be finite."""
     expected = list(param_shapes(arch).items())
-    found = [(entry["name"], tuple(entry["shape"])) for entry in entries]
-    if found == expected:
-        return
+    found = [(name, values.shape) for name, values in tensors]
     if len(found) != len(expected):
         raise ModelStoreError(
             f"{path}: tensor directory has {len(found)} entries, the "
             f"architecture needs {len(expected)}"
         )
-    i = next(i for i in range(len(found)) if found[i] != expected[i])
-    raise ModelStoreError(
-        f"{path}: tensor directory entry {i + 1} is {found[i][0]} {found[i][1]}, "
-        f"the architecture needs {expected[i][0]} {expected[i][1]}"
-    )
+    for i, (have, need) in enumerate(zip(found, expected)):
+        if have != need:
+            raise ModelStoreError(
+                f"{path}: tensor directory entry {i + 1} is {have[0]} {have[1]}, "
+                f"the architecture needs {need[0]} {need[1]}"
+            )
+    for name, values in tensors:
+        if not np.isfinite(values).all():
+            raise ModelStoreError(f"{path}: tensor {name} holds a non-finite value")

@@ -17,7 +17,12 @@ MAX_RANK = 3
 
 
 class Tensor:
-    """Immutable dense array of 64-bit floats, row-major, rank 1 to 3."""
+    """Immutable dense array of 64-bit floats, row-major, rank 1 to 3.
+
+    The container for data at the library boundary: dataset features,
+    standardized inputs, training labels and predicted probabilities. The
+    layer kernels work on plain ndarrays.
+    """
 
     __slots__ = ("_array",)
 
@@ -49,10 +54,6 @@ class Tensor:
         t._array = array
         return t
 
-    @classmethod
-    def zeros(cls, shape: Sequence[int]) -> "Tensor":
-        return cls._wrap(np.zeros(tuple(int(d) for d in shape)))
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self._array.shape
@@ -62,28 +63,9 @@ class Tensor:
         return self._array.ndim
 
     @property
-    def size(self) -> int:
-        return self._array.size
-
-    @property
     def array(self) -> np.ndarray:
         """The shaped ndarray view (read-only)."""
         return self._array
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the values (read-only)."""
-        return self._array.reshape(-1)
-
-    def tolist(self):
-        return self._array.tolist()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.shape == other.shape and np.array_equal(
-            self._array, other._array
-        )
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"

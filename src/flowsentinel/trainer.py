@@ -152,10 +152,9 @@ def build_model(arch: ArchitectureConfig, rng: np.random.Generator) -> ModelPara
             params[name] = np.zeros(shape)
             continue
         receptive = math.prod(shape[2:])
-        init = glorot_uniform_init(
+        params[name] = glorot_uniform_init(
             shape, fan_in=shape[1] * receptive, fan_out=shape[0] * receptive, rng=rng
         )
-        params[name] = init.array.copy()  # writable, like every later update
     return ModelParams(arch=arch, params=params)
 
 
@@ -235,21 +234,6 @@ def backward(
     layer_grads = (g_conv1, g_conv2, g_dense1, g_out)
     pairs = [g for lg in layer_grads for g in (lg.d_weights, lg.d_bias)]
     return dict(zip(model.params, pairs))
-
-
-def loss_and_gradients(
-    model: ModelParams, x: Tensor, one_hot_target: Tensor
-) -> tuple[float, dict[str, Tensor], Tensor]:
-    """One (feature_count, 1) sample as the N=1 batch: loss, parameter
-    gradients keyed as the table, and the logits."""
-    logits, activations = forward(model, x.array[None])
-    lv = softmax_ce_grad(logits, one_hot_target.array[None])
-    grads = backward(model, activations, lv.grad)
-    return (
-        float(lv.loss[0]),
-        {name: Tensor._wrap(g) for name, g in grads.items()},
-        Tensor._wrap(logits[0]),
-    )
 
 
 def _correct(logits: np.ndarray, one_hot: np.ndarray) -> int:

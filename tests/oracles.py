@@ -47,6 +47,25 @@ def central_diff(loss_fn, array: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return grad
 
 
+def central_diff_stacked(loss_of_stack, array: np.ndarray, h: float = 1e-6,
+                         chunk: int = 256) -> np.ndarray:
+    """central_diff with `chunk` entries per call: loss_of_stack takes a
+    (2*m, *array.shape) stack of copies of array, rows 2i and 2i+1 holding
+    entry i at +h and -h, and returns the 2*m losses. array is not written.
+    """
+    flat = array.reshape(-1)
+    grad = np.empty(flat.size)
+    for start in range(0, flat.size, chunk):
+        idx = np.arange(start, min(start + chunk, flat.size))
+        rows = np.arange(len(idx))
+        stack = np.repeat(flat[None], 2 * len(idx), axis=0)
+        stack[2 * rows, idx] = flat[idx] + h
+        stack[2 * rows + 1, idx] = flat[idx] - h
+        losses = loss_of_stack(stack.reshape((-1,) + array.shape))
+        grad[idx] = (losses[0::2] - losses[1::2]) / (2.0 * h)
+    return grad.reshape(array.shape)
+
+
 def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray,
                       rel: float, floor: float, label: str = ""):
     """Elementwise |a - n| <= rel * max(|a|, |n|, floor).
@@ -62,36 +81,50 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray,
     assert worst < rel, f"{label}: worst relative gradient error {worst:.3e}"
 
 
+# Rank of each parameter without a perturbation axis.
+_PARAM_RANK = {"conv1.weights": 3, "conv1.bias": 1, "conv2.weights": 3,
+               "conv2.bias": 1, "dense1.weights": 2, "dense1.bias": 1,
+               "output.weights": 2, "output.bias": 1}
+
+
 def fast_model_loss(params: dict, x: np.ndarray, y: np.ndarray,
-                    pool: int = 2, prob_floor: float = 1e-12) -> float:
+                    pool: int = 2, prob_floor: float = 1e-12):
     """Vectorized re-implementation of the whole network's loss.
 
     Same mathematical function as the production stack (im2col + matmul
     instead of ordered folds), used as the independent route for end-to-end
     finite differences. `params` maps the eight parameter names to ndarrays;
-    x is (features, 1); y is a one-hot vector.
+    x is (features, 1); y is a one-hot vector. Returns the loss as a float.
+    One parameter may carry an extra leading axis of P perturbed copies; the
+    call then returns the P losses as an array, one forward pass for all.
     """
+    stacked = any(v.ndim > _PARAM_RANK[n] for n, v in params.items())
+    p = {n: v if v.ndim > _PARAM_RANK[n] else v[None] for n, v in params.items()}
 
-    def conv(a, w, b):
-        t_out = a.shape[0] - w.shape[2] + 1
-        cols = np.lib.stride_tricks.sliding_window_view(a, w.shape[2], axis=0)
-        cols = cols.reshape(t_out, -1)
-        return cols @ w.reshape(w.shape[0], -1).T + b
+    def conv(a, w, b):  # a (P|1, L, c), w (P|1, f, c, k), b (P|1, f)
+        t_out = a.shape[1] - w.shape[3] + 1
+        cols = np.lib.stride_tricks.sliding_window_view(a, w.shape[3], axis=1)
+        cols = cols.reshape(a.shape[0], t_out, -1)
+        w = w.reshape(w.shape[0], w.shape[1], -1).transpose(0, 2, 1)
+        return cols @ w + b[:, None, :]
 
     def max_pool(a):
-        t_out = a.shape[0] // pool
-        return a[: t_out * pool].reshape(t_out, pool, -1).max(axis=1)
+        t_out = a.shape[1] // pool
+        return a[:, : t_out * pool].reshape(a.shape[0], t_out, pool, -1).max(axis=2)
 
-    a = conv(x, params["conv1.weights"], params["conv1.bias"])
+    def dense(v, w, b):  # v (P|1, in), w (P|1, out, in), b (P|1, out)
+        return (w @ v[:, :, None])[:, :, 0] + b
+
+    a = conv(x[None], p["conv1.weights"], p["conv1.bias"])
     a = np.maximum(a, 0.0)
     a = max_pool(a)
-    a = conv(a, params["conv2.weights"], params["conv2.bias"])
+    a = conv(a, p["conv2.weights"], p["conv2.bias"])
     a = np.maximum(a, 0.0)
     a = max_pool(a)
-    v = a.reshape(-1)
-    h = params["dense1.weights"] @ v + params["dense1.bias"]
+    h = dense(a.reshape(a.shape[0], -1), p["dense1.weights"], p["dense1.bias"])
     h = np.maximum(h, 0.0)
-    z = params["output.weights"] @ h + params["output.bias"]
-    e = np.exp(z - z.max())
-    p = e / e.sum()
-    return -np.log(max(float(p[int(np.argmax(y))]), prob_floor))
+    z = dense(h, p["output.weights"], p["output.bias"])
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    losses = -np.log(np.maximum(probs[:, int(np.argmax(y))], prob_floor))
+    return losses if stacked else float(losses[0])

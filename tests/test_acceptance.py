@@ -39,17 +39,24 @@ from flowsentinel.tensor import Tensor
 from flowsentinel.trainer import (
     ArchitectureConfig,
     TrainConfig,
+    backward,
     build_model,
     evaluate,
     flatten_length,
-    loss_and_gradients,
+    forward,
     predict,
     train,
 )
 from flowsentinel.errors import ConfigurationError
 
 from conftest import gaussian_blobs, write_flow_csv
-from oracles import assert_grad_close, central_diff, conv1d_brute, fast_model_loss
+from oracles import (
+    assert_grad_close,
+    central_diff,
+    central_diff_stacked,
+    conv1d_brute,
+    fast_model_loss,
+)
 
 
 @contextmanager
@@ -74,23 +81,23 @@ def test_criterion_1_gradient_suite():
             w = rng.standard_normal((3, 2, 3))
             b = rng.standard_normal(3)
             probe = rng.standard_normal((6, 3))
-            layer = Conv1DLayer(Tensor(w), Tensor(b), 2, 3, 3)
-            grads = conv1d_backward(layer, Tensor(x), Tensor(probe))
+            layer = Conv1DLayer(w, b, 2, 3, 3)
+            grads = conv1d_backward(layer, x[None], probe[None])
 
             def conv_loss():
                 return float(np.sum(conv1d_brute(x, w, b) * probe))
 
-            for analytic, target in ((grads.d_weights.array, w),
-                                     (grads.d_bias.array, b),
-                                     (grads.d_input.array, x)):
+            for analytic, target in ((grads.d_weights, w),
+                                     (grads.d_bias, b),
+                                     (grads.d_input[0], x)):
                 assert_grad_close(analytic, central_diff(conv_loss, target),
                                   rel=1e-6, floor=1e-3, label="conv")
 
             # maxpool (margins keep window maxima unique)
             xp = rng.standard_normal((10, 3)) + np.arange(30).reshape(10, 3) * 0.01
             probe_p = rng.standard_normal((5, 3))
-            _, arg = maxpool1d_forward(Tensor(xp))
-            analytic = maxpool1d_backward(arg, Tensor(probe_p), (10, 3)).array
+            _, arg = maxpool1d_forward(xp)
+            analytic = maxpool1d_backward(arg, probe_p, (10, 3))
 
             def pool_loss():
                 return float(np.sum(xp[:10].reshape(5, 2, 3).max(axis=1) * probe_p))
@@ -102,7 +109,7 @@ def test_criterion_1_gradient_suite():
             xr = rng.standard_normal((6, 4))
             xr = np.where(np.abs(xr) < 1e-3, 0.5, xr)
             probe_r = rng.standard_normal((6, 4))
-            analytic = relu_backward(Tensor(xr), Tensor(probe_r)).array
+            analytic = relu_backward(xr, probe_r)
 
             def relu_loss():
                 return float(np.sum(np.maximum(xr, 0.0) * probe_r))
@@ -115,15 +122,15 @@ def test_criterion_1_gradient_suite():
             bd = rng.standard_normal(5)
             xd = rng.standard_normal(7)
             probe_d = rng.standard_normal(5)
-            dlayer = DenseLayer(Tensor(wd), Tensor(bd))
-            dgrads = dense_backward(dlayer, Tensor(xd), Tensor(probe_d))
+            dlayer = DenseLayer(wd, bd)
+            dgrads = dense_backward(dlayer, xd[None], probe_d[None])
 
             def dense_loss():
                 return float(np.sum((wd @ xd + bd) * probe_d))
 
-            for analytic, target in ((dgrads.d_weights.array, wd),
-                                     (dgrads.d_bias.array, bd),
-                                     (dgrads.d_input.array, xd)):
+            for analytic, target in ((dgrads.d_weights, wd),
+                                     (dgrads.d_bias, bd),
+                                     (dgrads.d_input[0], xd)):
                 assert_grad_close(analytic, central_diff(dense_loss, target),
                                   rel=1e-6, floor=1e-3, label="dense")
 
@@ -131,7 +138,7 @@ def test_criterion_1_gradient_suite():
             logits = rng.standard_normal(5) * 2
             target_vec = np.zeros(5)
             target_vec[rng.integers(0, 5)] = 1.0
-            analytic = softmax_ce_grad(Tensor(logits), Tensor(target_vec)).grad.array
+            analytic = softmax_ce_grad(logits[None], target_vec[None]).grad[0]
 
             def ce_loss():
                 e = np.exp(logits - logits.max())
@@ -148,14 +155,18 @@ def test_criterion_1_gradient_suite():
             x = rng.standard_normal((12, 1))
             y = np.zeros(3)
             y[rng.integers(0, 3)] = 1.0
-            loss, grads, _ = loss_and_gradients(model, Tensor(x), Tensor(y))
+            logits, activations = forward(model, x[None])
+            lv = softmax_ce_grad(logits, y[None])
+            grads = backward(model, activations, lv.grad)
+            loss = float(lv.loss[0])
             params = {n: p.copy() for n, p in model.params.items()}
             assert abs(fast_model_loss(params, x, y) - loss) <= 1e-12 * max(1.0, abs(loss))
             for name in params:
-                numeric = central_diff(
-                    lambda: fast_model_loss(params, x, y), params[name]
+                numeric = central_diff_stacked(
+                    lambda stack: fast_model_loss({**params, name: stack}, x, y),
+                    params[name],
                 )
-                assert_grad_close(grads[name].array, numeric, rel=1e-5,
+                assert_grad_close(grads[name], numeric, rel=1e-5,
                                   floor=1e-4, label=name)
 
         elapsed = time.perf_counter() - start
@@ -172,8 +183,8 @@ def test_criterion_2_convolution_oracle():
             x = rng.standard_normal((length, channels))
             w = rng.standard_normal((filters, channels, 3))
             b = rng.standard_normal(filters)
-            layer = Conv1DLayer(Tensor(w), Tensor(b), channels, filters, 3)
-            got = conv1d_forward(layer, Tensor(x)).array
+            layer = Conv1DLayer(w, b, channels, filters, 3)
+            got = conv1d_forward(layer, x[None])[0]
             assert np.array_equal(got, conv1d_brute(x, w, b))
 
 
@@ -260,7 +271,7 @@ def test_criterion_7_serialization(tmp_path, capsys):
         idx1, probs1 = predict(model, pre, ds.features)
         model2, pre2, _, _, _ = load_model(model_path)
         idx2, probs2 = predict(model2, pre2, ds.features)
-        assert idx1 == idx2 and probs1 == probs2
+        assert idx1 == idx2 and np.array_equal(probs1.array, probs2.array)
 
         blob = bytearray((tmp_path / "m.fsnt").read_bytes())
         blob[:4] = b"JUNK"

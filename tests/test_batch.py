@@ -10,13 +10,11 @@ import pytest
 
 from flowsentinel import layers as L
 from flowsentinel.optim import softmax_ce_grad
-from flowsentinel.tensor import Tensor
 from flowsentinel.trainer import (
     ArchitectureConfig,
     backward,
     build_model,
     forward,
-    loss_and_gradients,
     _pool,
     _unpool,
 )
@@ -28,15 +26,15 @@ BATCH_SIZES = (1, 2, 3, 7, 33)
 
 def _conv(rng, in_ch, filters, k=3):
     return L.Conv1DLayer(
-        weights=Tensor(rng.standard_normal((filters, in_ch, k))),
-        bias=Tensor(rng.standard_normal(filters)),
+        weights=rng.standard_normal((filters, in_ch, k)),
+        bias=rng.standard_normal(filters),
         in_channels=in_ch, filters=filters, kernel_size=k,
     )
 
 
 def _dense(rng, out_dim, in_dim):
-    return L.DenseLayer(weights=Tensor(rng.standard_normal((out_dim, in_dim))),
-                        bias=Tensor(rng.standard_normal(out_dim)))
+    return L.DenseLayer(weights=rng.standard_normal((out_dim, in_dim)),
+                        bias=rng.standard_normal(out_dim))
 
 
 def _in_order_sum(arrays):
@@ -57,7 +55,7 @@ def test_conv_batch_equals_single_samples_and_oracle(n):
         singles = [L.conv1d_forward(layer, x[i : i + 1])[0] for i in range(n)]
         assert np.array_equal(out, np.stack(singles))
         for i in range(n):
-            want = conv1d_brute(x[i], layer.weights.array, layer.bias.array)
+            want = conv1d_brute(x[i], layer.weights, layer.bias)
             assert np.array_equal(out[i], want), f"row {i}"
 
         grads = L.conv1d_backward(layer, x, g)
@@ -77,7 +75,7 @@ def test_dense_batch_equals_single_samples(n):
         x = rng.standard_normal((n, in_dim))
         g = rng.standard_normal((n, out_dim))
         out = L.dense_forward(layer, x)
-        singles = [L.dense_forward(layer, Tensor(x[i])).array for i in range(n)]
+        singles = [L.dense_forward(layer, x[i : i + 1])[0] for i in range(n)]
         assert np.array_equal(out, np.stack(singles))
 
         grads = L.dense_backward(layer, x, g)
@@ -96,12 +94,12 @@ def test_pool_batch_equals_single_samples(n):
         x = rng.standard_normal((n, length, channels))
         x[:, 1::3] = x[:, ::3][:, : x[:, 1::3].shape[1]]  # ties between taps
         pooled, argmax = _pool(x, 2)
-        per = [L.maxpool1d_forward(Tensor(x[i]), 2) for i in range(n)]
-        assert np.array_equal(pooled, np.stack([p.array for p, _ in per]))
+        per = [L.maxpool1d_forward(x[i], 2) for i in range(n)]
+        assert np.array_equal(pooled, np.stack([p for p, _ in per]))
 
         g = rng.standard_normal(pooled.shape)
         back = _unpool(argmax, g, x.shape, 2)
-        singles = [L.maxpool1d_backward(arg, Tensor(g[i]), (length, channels)).array
+        singles = [L.maxpool1d_backward(arg, g[i], (length, channels))
                    for i, (_, arg) in enumerate(per)]
         assert np.array_equal(back, np.stack(singles))
 
@@ -113,13 +111,13 @@ def test_softmax_ce_batch_equals_single_samples(n):
         logits = rng.standard_normal((n, classes)) * 4
         target = np.eye(classes)[rng.integers(0, classes, size=n)]
         lv = softmax_ce_grad(logits, target)
-        per = [softmax_ce_grad(Tensor(logits[i]), Tensor(target[i]))
+        per = [softmax_ce_grad(logits[i : i + 1], target[i : i + 1])
                for i in range(n)]
-        assert lv.loss.tolist() == [p.loss for p in per]
-        assert np.array_equal(lv.grad, np.stack([p.grad.array for p in per]))
+        assert lv.loss.tolist() == [p.loss[0] for p in per]
+        assert np.array_equal(lv.grad, np.stack([p.grad[0] for p in per]))
         probs = L.softmax(logits)
         assert np.array_equal(
-            probs, np.stack([L.softmax(Tensor(logits[i])).array for i in range(n)])
+            probs, np.stack([L.softmax(logits[i : i + 1])[0] for i in range(n)])
         )
 
 
@@ -133,9 +131,13 @@ def test_model_gradient_is_in_order_sum_of_sample_gradients(n):
     logits, activations = forward(model, x)
     lv = softmax_ce_grad(logits, y)
     grads = backward(model, activations, lv.grad)
-    per = [loss_and_gradients(model, Tensor(x[i]), Tensor(y[i])) for i in range(n)]
+    per = []  # (loss, gradients, logits) of each sample as the N=1 batch
+    for i in range(n):
+        z, acts = forward(model, x[i : i + 1])
+        lv_i = softmax_ce_grad(z, y[i : i + 1])
+        per.append((lv_i.loss[0], backward(model, acts, lv_i.grad), z[0]))
     assert lv.loss.tolist() == [loss for loss, _, _ in per]
-    assert np.array_equal(logits, np.stack([z.array for _, _, z in per]))
+    assert np.array_equal(logits, np.stack([z for _, _, z in per]))
     for name, total in grads.items():
-        want = _in_order_sum([g[name].array for _, g, _ in per])
+        want = _in_order_sum([g[name] for _, g, _ in per])
         assert np.array_equal(total, want), name

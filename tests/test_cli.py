@@ -99,7 +99,7 @@ CORRUPTIONS = ("nan-payload", "inf-payload", "output-rows", "dense1-width",
 
 
 def _corrupt(params, corruption):
-    """Damage a loaded parameter table in place; save_model writes it as is."""
+    """Damage a loaded parameter table in place."""
     if corruption == "nan-payload":
         params["conv1.weights"][0, 0, 0] = np.nan
     elif corruption == "inf-payload":
@@ -130,15 +130,18 @@ def trained_model(tmp_path_factory):
 @pytest.mark.parametrize("command", ["inspect", "predict", "evaluate"])
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
 def test_corrupt_model_is_exit_3(trained_model, tmp_path, capsys, recwarn,
-                                 corruption, command):
-    from flowsentinel.store import load_model, save_model
+                                 monkeypatch, corruption, command):
+    from flowsentinel import store
 
     data, good = trained_model
-    model, pre, taxonomy, meta, names = load_model(good)
+    model, pre, taxonomy, meta, names = store.load_model(good)
     assert model.params["output.weights"].shape == (3, 128)
     _corrupt(model.params, corruption)
     bad = str(tmp_path / "bad.fsnt")
-    save_model(bad, model, pre, taxonomy, meta, names)
+    # save_model refuses such tables; write this one with its check off
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "_check_table", lambda *args: None)
+        store.save_model(bad, model, pre, taxonomy, meta, names)
     capsys.readouterr()
     argv = [command, "--model", bad] + ([] if command == "inspect" else ["--data", data])
     assert run(argv) == 3
@@ -146,6 +149,22 @@ def test_corrupt_model_is_exit_3(trained_model, tmp_path, capsys, recwarn,
     _assert_one_error_line(captured, recwarn)
     reason = "non-finite value" if "payload" in corruption else "tensor directory"
     assert reason in captured.err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_rows_with_wrong_field_count_are_data_errors(trained_model, tmp_path,
+                                                     capsys, recwarn, command):
+    data, model = trained_model
+    lines = Path(data).read_text(encoding="utf-8").splitlines()
+    long_row = lines[3] + ",1.0,2.0,3.0"
+    short_row = ",".join(lines[5].split(",")[1:])
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("\n".join(lines[:3] + [long_row, lines[4], short_row])
+                      + "\n", encoding="utf-8")
+    assert run([command, "--model", model, "--data", str(ragged)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert "rows with wrong field count rejected: rows 3, 5" in captured.err
 
 
 def test_train_rejects_unknown_label(tmp_path):

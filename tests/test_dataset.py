@@ -24,7 +24,7 @@ from flowsentinel.tensor import Tensor
 def test_load_csv_minimal(tiny_csv):
     ds = load_csv(tiny_csv)
     assert ds.features.shape == (2, 2)
-    assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert ds.features.array.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert ds.raw_labels == ["Benign", "DDoS-TCP"]
     assert ds.feature_names == ["f1", "f2"]
     assert ds.source == tiny_csv
@@ -87,7 +87,7 @@ def test_load_csv_column_order_preserved(tmp_path):
     p.write_text("b,label,a\n1,Benign,2\n", encoding="utf-8")
     ds = load_csv(str(p))
     assert ds.feature_names == ["b", "a"]
-    assert ds.features.tolist() == [[1.0, 2.0]]
+    assert ds.features.array.tolist() == [[1.0, 2.0]]
 
 
 def test_float_round_trip_through_csv(tmp_path):
@@ -195,7 +195,7 @@ def test_subsample_identity_when_cap_covers_everything():
     ds = _dataset(["A", "B", "A", "B", "B"])
     out = subsample_stratified(ds, 100, seed=9)
     assert out.raw_labels == ds.raw_labels
-    assert out.features == ds.features
+    assert np.array_equal(out.features.array, ds.features.array)
 
 
 def test_subsample_deterministic():
@@ -203,7 +203,7 @@ def test_subsample_deterministic():
     a = subsample_stratified(ds, 7, seed=13)
     b = subsample_stratified(ds, 7, seed=13)
     assert a.raw_labels == b.raw_labels
-    assert a.features == b.features
+    assert np.array_equal(a.features.array, b.features.array)
 
 
 def test_subsample_rejects_bad_cap():
@@ -217,7 +217,7 @@ def test_select_features_reorders(tmp_path):
     ds = load_csv(str(p))
     out = select_features(ds, ["b", "a"])
     assert out.feature_names == ["b", "a"]
-    assert out.features.tolist() == [[2.0, 1.0], [4.0, 3.0]]
+    assert out.features.array.tolist() == [[2.0, 1.0], [4.0, 3.0]]
     with pytest.raises(ValidationError):
         select_features(ds, ["a", "missing"])
 
@@ -226,6 +226,6 @@ def test_load_feature_matrix_ignores_labels(tmp_path):
     p = tmp_path / "unlabeled.csv"
     p.write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
     t = load_feature_matrix(str(p), ["b", "a"])
-    assert t.tolist() == [[2.0, 1.0], [4.0, 3.0]]
+    assert t.array.tolist() == [[2.0, 1.0], [4.0, 3.0]]
     with pytest.raises(SchemaError):
         load_feature_matrix(str(p), ["a", "c"])

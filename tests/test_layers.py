@@ -18,16 +18,14 @@ from flowsentinel.layers import (
     relu_backward,
     softmax,
 )
-from flowsentinel.tensor import Tensor
-
 from oracles import assert_grad_close, central_diff, conv1d_brute
 
 
 def _conv(w, b):
     w = np.asarray(w, dtype=float)
     return Conv1DLayer(
-        weights=Tensor(w),
-        bias=Tensor(np.asarray(b, dtype=float)),
+        weights=w,
+        bias=np.asarray(b, dtype=float),
         in_channels=w.shape[1],
         filters=w.shape[0],
         kernel_size=w.shape[2],
@@ -35,27 +33,28 @@ def _conv(w, b):
 
 
 def _col(values):
-    return Tensor(np.asarray(values, dtype=float)[:, None])
+    """One-channel rows (length, 1); `[None]` makes them the N=1 batch."""
+    return np.asarray(values, dtype=float)[:, None]
 
 
 # --- Conv1D ---------------------------------------------------------------
 
 def test_conv_forward_edge_kernel():
     layer = _conv([[[1.0, 0.0, -1.0]]], [0.0])
-    out = conv1d_forward(layer, _col([1, 2, 3, 4]))
+    out = conv1d_forward(layer, _col([1, 2, 3, 4])[None])[0]
     assert out.tolist() == [[-2.0], [-2.0]]
 
 
 def test_conv_forward_center_tap():
     layer = _conv([[[0.0, 1.0, 0.0]]], [0.0])
-    out = conv1d_forward(layer, _col([1, 2, 3, 4]))
+    out = conv1d_forward(layer, _col([1, 2, 3, 4])[None])[0]
     assert out.tolist() == [[2.0], [3.0]]
 
 
 def test_conv_forward_too_short():
     layer = _conv([[[1.0, 0.0, -1.0]]], [0.0])
     with pytest.raises(DimensionError, match="too short"):
-        conv1d_forward(layer, _col([1, 1]))
+        conv1d_forward(layer, _col([1, 1])[None])
 
 
 def test_conv_forward_matches_brute_force_bitwise():
@@ -68,7 +67,7 @@ def test_conv_forward_matches_brute_force_bitwise():
         w = rng.standard_normal((filters, channels, 3))
         b = rng.standard_normal(filters)
         layer = _conv(w, b)
-        got = conv1d_forward(layer, Tensor(x)).array
+        got = conv1d_forward(layer, x[None])[0]
         want = conv1d_brute(x, w, b)
         assert np.array_equal(got, want), f"trial {trial}"
 
@@ -79,13 +78,13 @@ def test_conv_forward_matches_brute_force_other_kernels():
         x = rng.standard_normal((9, 2))
         w = rng.standard_normal((3, 2, k))
         b = rng.standard_normal(3)
-        got = conv1d_forward(_conv(w, b), Tensor(x)).array
+        got = conv1d_forward(_conv(w, b), x[None])[0]
         assert np.array_equal(got, conv1d_brute(x, w, b))
     # single filter, single output position: the degenerate 1-element grid
     x = rng.standard_normal((3, 2))
     w = rng.standard_normal((1, 2, 3))
     b = rng.standard_normal(1)
-    got = conv1d_forward(_conv(w, b), Tensor(x)).array
+    got = conv1d_forward(_conv(w, b), x[None])[0]
     assert np.array_equal(got, conv1d_brute(x, w, b))
 
 
@@ -93,26 +92,26 @@ def test_conv_backward_hand_example():
     # d_w[k] = sum_t g[t]*x[t+k] = [1+2, 2+3, 3+4]; d_b = 2;
     # d_x spreads w over the two windows: [1, 1, -1, -1].
     layer = _conv([[[1.0, 0.0, -1.0]]], [0.0])
-    grads = conv1d_backward(layer, _col([1, 2, 3, 4]), Tensor([[1.0], [1.0]]))
+    grads = conv1d_backward(layer, _col([1, 2, 3, 4])[None], _col([1, 1])[None])
     assert grads.d_weights.tolist() == [[[3.0, 5.0, 7.0]]]
     assert grads.d_bias.tolist() == [2.0]
-    assert grads.d_input.tolist() == [[1.0], [1.0], [-1.0], [-1.0]]
+    assert grads.d_input[0].tolist() == [[1.0], [1.0], [-1.0], [-1.0]]
 
 
 def test_conv_backward_zero_grad_out():
     rng = np.random.default_rng(7)
     layer = _conv(rng.standard_normal((3, 2, 3)), rng.standard_normal(3))
-    x = Tensor(rng.standard_normal((6, 2)))
-    grads = conv1d_backward(layer, x, Tensor.zeros((4, 3)))
-    assert not grads.d_weights.data.any()
-    assert not grads.d_bias.data.any()
-    assert not grads.d_input.data.any()
+    x = rng.standard_normal((6, 2))
+    grads = conv1d_backward(layer, x[None], np.zeros((1, 4, 3)))
+    assert not grads.d_weights.any()
+    assert not grads.d_bias.any()
+    assert not grads.d_input.any()
 
 
 def test_conv_backward_shape_mismatch():
     layer = _conv([[[1.0, 0.0, -1.0]]], [0.0])
     with pytest.raises(DimensionError):
-        conv1d_backward(layer, _col([1, 2, 3, 4]), Tensor([[1.0], [1.0], [1.0]]))
+        conv1d_backward(layer, _col([1, 2, 3, 4])[None], _col([1, 1, 1])[None])
 
 
 def test_conv_backward_finite_differences():
@@ -127,11 +126,11 @@ def test_conv_backward_finite_differences():
         def loss():
             return float(np.sum(conv1d_brute(x, w, b) * probe))
 
-        grads = conv1d_backward(_conv(w, b), Tensor(x), Tensor(probe))
+        grads = conv1d_backward(_conv(w, b), x[None], probe[None])
         for analytic, target in (
-            (grads.d_weights.array, w),
-            (grads.d_bias.array, b),
-            (grads.d_input.array, x),
+            (grads.d_weights, w),
+            (grads.d_bias, b),
+            (grads.d_input[0], x),
         ):
             numeric = central_diff(loss, target, h=1e-6)
             assert_grad_close(analytic, numeric, rel=1e-6, floor=1e-3,
@@ -164,19 +163,19 @@ def test_pool_forward_too_short():
 
 def test_pool_backward_routes_to_maxima():
     _, arg = maxpool1d_forward(_col([3, 1, 4, 1, 5, 9]))
-    grad = maxpool1d_backward(arg, Tensor([[1.0], [1.0], [1.0]]), (6, 1))
+    grad = maxpool1d_backward(arg, _col([1, 1, 1]), (6, 1))
     assert grad.tolist() == [[1.0], [0.0], [1.0], [0.0], [0.0], [1.0]]
 
 
 def test_pool_backward_zero():
     _, arg = maxpool1d_forward(_col([3, 1, 4, 1]))
-    grad = maxpool1d_backward(arg, Tensor.zeros((2, 1)), (4, 1))
-    assert not grad.data.any()
+    grad = maxpool1d_backward(arg, np.zeros((2, 1)), (4, 1))
+    assert not grad.any()
 
 
 def test_pool_backward_tie_first_index():
     _, arg = maxpool1d_forward(_col([2, 2]))
-    grad = maxpool1d_backward(arg, Tensor([[7.0]]), (2, 1))
+    grad = maxpool1d_backward(arg, _col([7]), (2, 1))
     assert grad.tolist() == [[7.0], [0.0]]
 
 
@@ -185,11 +184,11 @@ def test_pool_conserves_gradient_mass_exactly():
     for _ in range(20):
         length = int(rng.integers(2, 40))
         channels = int(rng.integers(1, 5))
-        x = Tensor(rng.standard_normal((length, channels)))
+        x = rng.standard_normal((length, channels))
         pooled, arg = maxpool1d_forward(x)
-        g = Tensor(rng.standard_normal(pooled.shape))
+        g = rng.standard_normal(pooled.shape)
         back = maxpool1d_backward(arg, g, (length, channels))
-        assert math.fsum(back.data) == math.fsum(g.data)
+        assert math.fsum(back.ravel()) == math.fsum(g.ravel())
 
 
 def test_pool_backward_finite_differences():
@@ -204,8 +203,8 @@ def test_pool_backward_finite_differences():
             t_out = x.shape[0] // 2
             return float(np.sum(x[: t_out * 2].reshape(t_out, 2, 3).max(axis=1) * probe))
 
-        _, arg = maxpool1d_forward(Tensor(x))
-        analytic = maxpool1d_backward(arg, Tensor(probe), (10, 3)).array
+        _, arg = maxpool1d_forward(x)
+        analytic = maxpool1d_backward(arg, probe, (10, 3))
         numeric = central_diff(loss, x, h=1e-6)
         assert_grad_close(analytic, numeric, rel=1e-6, floor=1e-3,
                           label=f"pool seed {seed}")
@@ -214,17 +213,18 @@ def test_pool_backward_finite_differences():
 # --- ReLU -----------------------------------------------------------------
 
 def test_relu_forward_and_zero_rule():
-    assert relu(Tensor([-1.0, 0.0, 2.0])).tolist() == [0.0, 0.0, 2.0]
-    back = relu_backward(Tensor([-1.0, 0.0, 2.0]), Tensor([5.0, 5.0, 5.0]))
-    assert back.tolist() == [0.0, 0.0, 5.0]
+    x = np.array([[-1.0, 0.0, 2.0]])
+    assert relu(x)[0].tolist() == [0.0, 0.0, 2.0]
+    back = relu_backward(x, np.array([[5.0, 5.0, 5.0]]))
+    assert back[0].tolist() == [0.0, 0.0, 5.0]
 
 
 def test_relu_all_positive_is_identity():
     rng = np.random.default_rng(9)
-    x = Tensor(rng.uniform(0.5, 3.0, size=(4, 2)))
-    g = Tensor(rng.standard_normal((4, 2)))
-    assert relu(x) == x
-    assert relu_backward(x, g) == g
+    x = rng.uniform(0.5, 3.0, size=(4, 2))
+    g = rng.standard_normal((4, 2))
+    assert np.array_equal(relu(x), x)
+    assert np.array_equal(relu_backward(x, g), g)
 
 
 def test_relu_finite_differences():
@@ -237,7 +237,7 @@ def test_relu_finite_differences():
         def loss():
             return float(np.sum(np.maximum(x, 0.0) * probe))
 
-        analytic = relu_backward(Tensor(x), Tensor(probe)).array
+        analytic = relu_backward(x, probe)
         numeric = central_diff(loss, x, h=1e-6)
         assert_grad_close(analytic, numeric, rel=1e-6, floor=1e-3,
                           label=f"relu seed {seed}")
@@ -246,31 +246,31 @@ def test_relu_finite_differences():
 # --- Dense ----------------------------------------------------------------
 
 def test_dense_forward_identity():
-    layer = DenseLayer(weights=Tensor(np.eye(2)), bias=Tensor([0.0, 0.0]))
-    assert dense_forward(layer, Tensor([3.0, 4.0])).tolist() == [3.0, 4.0]
+    layer = DenseLayer(weights=np.eye(2), bias=np.zeros(2))
+    assert dense_forward(layer, np.array([[3.0, 4.0]]))[0].tolist() == [3.0, 4.0]
 
 
 def test_dense_forward_hand_example():
-    layer = DenseLayer(weights=Tensor([[1.0, 2.0], [3.0, 4.0]]),
-                       bias=Tensor([1.0, 1.0]))
-    assert dense_forward(layer, Tensor([1.0, 1.0])).tolist() == [4.0, 8.0]
+    layer = DenseLayer(weights=np.array([[1.0, 2.0], [3.0, 4.0]]),
+                       bias=np.array([1.0, 1.0]))
+    assert dense_forward(layer, np.array([[1.0, 1.0]]))[0].tolist() == [4.0, 8.0]
 
 
 def test_dense_backward_hand_example():
-    layer = DenseLayer(weights=Tensor([[1.0, 2.0], [3.0, 4.0]]),
-                       bias=Tensor([0.0, 0.0]))
-    grads = dense_backward(layer, Tensor([1.0, 1.0]), Tensor([1.0, 0.0]))
+    layer = DenseLayer(weights=np.array([[1.0, 2.0], [3.0, 4.0]]),
+                       bias=np.zeros(2))
+    grads = dense_backward(layer, np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]))
     assert grads.d_weights.tolist() == [[1.0, 1.0], [0.0, 0.0]]
     assert grads.d_bias.tolist() == [1.0, 0.0]
-    assert grads.d_input.tolist() == [1.0, 2.0]
+    assert grads.d_input[0].tolist() == [1.0, 2.0]
 
 
 def test_dense_shape_errors():
-    layer = DenseLayer(weights=Tensor([[1.0, 2.0]]), bias=Tensor([0.0]))
+    layer = DenseLayer(weights=np.array([[1.0, 2.0]]), bias=np.zeros(1))
     with pytest.raises(DimensionError):
-        dense_forward(layer, Tensor([1.0, 2.0, 3.0]))
+        dense_forward(layer, np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(DimensionError):
-        dense_backward(layer, Tensor([1.0, 2.0]), Tensor([1.0, 2.0]))
+        dense_backward(layer, np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
 
 
 def test_dense_finite_differences():
@@ -284,12 +284,12 @@ def test_dense_finite_differences():
         def loss():
             return float(np.sum((w @ x + b) * probe))
 
-        layer = DenseLayer(weights=Tensor(w), bias=Tensor(b))
-        grads = dense_backward(layer, Tensor(x), Tensor(probe))
+        layer = DenseLayer(weights=w, bias=b)
+        grads = dense_backward(layer, x[None], probe[None])
         for analytic, target in (
-            (grads.d_weights.array, w),
-            (grads.d_bias.array, b),
-            (grads.d_input.array, x),
+            (grads.d_weights, w),
+            (grads.d_bias, b),
+            (grads.d_input[0], x),
         ):
             numeric = central_diff(loss, target, h=1e-6)
             assert_grad_close(analytic, numeric, rel=1e-6, floor=1e-3,
@@ -299,36 +299,36 @@ def test_dense_finite_differences():
 # --- Softmax & Flatten ------------------------------------------------------
 
 def test_softmax_uniform():
-    out = softmax(Tensor([0.0, 0.0, 0.0]))
-    assert np.allclose(out.array, [1 / 3] * 3, rtol=0, atol=1e-15)
+    out = softmax(np.array([[0.0, 0.0, 0.0]]))[0]
+    assert np.allclose(out, [1 / 3] * 3, rtol=0, atol=1e-15)
 
 
 def test_softmax_closed_form():
-    out = softmax(Tensor([math.log(2.0), 0.0]))
-    assert np.allclose(out.array, [2 / 3, 1 / 3], rtol=1e-15, atol=0)
+    out = softmax(np.array([[math.log(2.0), 0.0]]))[0]
+    assert np.allclose(out, [2 / 3, 1 / 3], rtol=1e-15, atol=0)
 
 
 def test_softmax_large_logit_stays_finite():
-    out = softmax(Tensor([1000.0, 0.0]))
-    assert np.all(np.isfinite(out.array))
-    assert out.array[0] > 0.999999
-    assert abs(float(out.data.sum()) - 1.0) < 1e-12
+    out = softmax(np.array([[1000.0, 0.0]]))[0]
+    assert np.all(np.isfinite(out))
+    assert out[0] > 0.999999
+    assert abs(float(out.sum()) - 1.0) < 1e-12
 
 
 def test_softmax_sum_and_shift_invariance():
     rng = np.random.default_rng(10)
     for _ in range(20):
         x = rng.standard_normal(6) * 10
-        a = softmax(Tensor(x)).array
-        b = softmax(Tensor(x + 123.456)).array
+        a = softmax(x[None])[0]
+        b = softmax((x + 123.456)[None])[0]
         assert abs(float(a.sum()) - 1.0) < 1e-12
         assert np.max(np.abs(a - b)) < 1e-12
         assert np.all(a > 0.0) and np.all(a <= 1.0)
 
 
 def test_flatten_row_major_and_inverse():
-    t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    flat = flatten(t)
+    x = np.array([[1.0, 2.0], [3.0, 4.0]])
+    flat = flatten(x[None])[0]
     assert flat.tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert flatten(Tensor([[1.0], [2.0], [3.0]])).tolist() == [1.0, 2.0, 3.0]
-    assert np.array_equal(flat.array.reshape(t.shape), t.array)
+    assert flatten(_col([1, 2, 3])[None])[0].tolist() == [1.0, 2.0, 3.0]
+    assert np.array_equal(flat.reshape(x.shape), x)

@@ -37,8 +37,8 @@ def test_encode_labels_empty():
 
 
 def test_one_hot():
-    assert one_hot_rows([1], 3).tolist() == [[0.0, 1.0, 0.0]]
-    assert one_hot_rows([0], 1).tolist() == [[1.0]]
+    assert one_hot_rows([1], 3).array.tolist() == [[0.0, 1.0, 0.0]]
+    assert one_hot_rows([0], 1).array.tolist() == [[1.0]]
     with pytest.raises(ValidationError):
         one_hot_rows([3], 3)
     with pytest.raises(ValidationError):
@@ -57,7 +57,7 @@ def test_encode_one_hot_argmax_round_trip():
 def test_one_hot_rows_stacks_one_row_per_index():
     rows = one_hot_rows([2, 0, 1], 3)
     assert rows.shape == (3, 3)
-    assert rows.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    assert rows.array.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     assert one_hot_rows([], 4).shape == (0, 4)
 
 
@@ -90,13 +90,13 @@ def test_apply_standardizer_values_and_shape():
     state = fit_standardizer(Tensor([[1.0], [3.0]]))
     out = apply_standardizer(state, Tensor([[1.0], [3.0]]))
     assert out.shape == (2, 1, 1)
-    assert out.tolist() == [[[-1.0]], [[1.0]]]
+    assert out.array.tolist() == [[[-1.0]], [[1.0]]]
 
 
 def test_apply_standardizer_degenerate_maps_to_zero():
     state = fit_standardizer(Tensor([[5.0], [5.0]]))
     out = apply_standardizer(state, Tensor([[5.0]]))
-    assert out.tolist() == [[[0.0]]]
+    assert out.array.tolist() == [[[0.0]]]
 
 
 def test_apply_standardizer_train_columns_are_zscores():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_round_trip_predictions_bit_exact(saved):
     idx1, probs1 = predict(model, pre, x)
     idx2, probs2 = predict(loaded, pre2, x)
     assert idx1 == idx2
-    assert probs1 == probs2
+    assert np.array_equal(probs1.array, probs2.array)
 
 
 def test_save_is_deterministic_and_reload_reserializes_identically(saved, tmp_path):
@@ -121,15 +122,22 @@ def test_mismatched_tensor_declaration_rejected(saved, tmp_path):
     path, *_ = saved
     blob = path.read_bytes()
     header_len = int.from_bytes(blob[8:12], "little")
-    header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-    header["tensors"][0]["byte_length"] += 8  # no longer matches its shape
-    new_header = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    bad = tmp_path / "mismatch.fsnt"
-    bad.write_bytes(
-        MAGIC + len(new_header).to_bytes(4, "little") + new_header + blob[12 + header_len :]
-    )
-    with pytest.raises(ModelStoreError, match="declares"):
-        load_model(str(bad))
+    for damage in ("byte_length", "negative_shape"):
+        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+        entry = header["tensors"][0]
+        if damage == "byte_length":
+            entry["byte_length"] += 8  # no longer matches its shape
+        else:  # a negative size that its byte length matches
+            entry["shape"] = [-math.prod(entry["shape"])]
+            entry["byte_length"] = -entry["byte_length"]
+        new_header = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        bad = tmp_path / "mismatch.fsnt"
+        bad.write_bytes(
+            MAGIC + len(new_header).to_bytes(4, "little") + new_header
+            + blob[12 + header_len :]
+        )
+        with pytest.raises(ModelStoreError, match="declares"):
+            load_model(str(bad))
 
 
 def test_oversized_header_rejected(tmp_path):
@@ -151,6 +159,21 @@ def test_save_to_directory_is_io_error(saved, tmp_path):
     _, model, pre, metadata, names = saved
     with pytest.raises(ModelStoreError):
         save_model(str(tmp_path), model, pre, default_taxonomy(), metadata, names)
+
+
+def test_save_refuses_a_table_the_reader_would_refuse(saved, tmp_path):
+    _, model, pre, metadata, names = saved
+    good = dict(model.params)
+    model.params["conv1.weights"] = good["conv1.weights"].copy()
+    model.params["conv1.weights"][0, 0, 0] = np.nan
+    with pytest.raises(ModelStoreError, match="conv1.weights holds a non-finite"):
+        save_model(str(tmp_path / "nan.fsnt"), model, pre, default_taxonomy(),
+                   metadata, names)
+    model.params = {**good, "extra.bias": np.zeros(3)}
+    with pytest.raises(ModelStoreError, match="tensor directory has 9 entries"):
+        save_model(str(tmp_path / "extra.fsnt"), model, pre, default_taxonomy(),
+                   metadata, names)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.fsnt"]
 
 
 def test_nan_metrics_become_null_in_strict_json_header(saved, tmp_path):

@@ -7,8 +7,8 @@ from flowsentinel.tensor import Tensor, fold_sum
 
 def test_tensor_shape_argument_keeps_row_major_order():
     t = Tensor([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], shape=(2, 3))
-    assert t.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-    assert Tensor(t.array, shape=(6,)).data.tolist() == t.data.tolist()
+    assert t.array.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    assert Tensor(t.array, shape=(6,)).array.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     with pytest.raises(DimensionError):
         Tensor([[1.0, 2.0], [3.0, 4.0]], shape=(3, 1))
 
@@ -24,11 +24,13 @@ def test_tensor_rejects_nan_and_bad_rank():
         Tensor(5.0)
 
 
-def test_tensor_data_is_flat_row_major_and_read_only():
+def test_tensor_array_is_read_only():
     t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0]
     with pytest.raises(ValueError):
         t.array[0, 0] = 9.0
+    wrapped = Tensor._wrap(np.zeros(3))
+    with pytest.raises(ValueError):
+        wrapped.array[0] = 9.0
 
 
 def test_fold_sum_is_left_fold_bitwise():

@@ -5,6 +5,7 @@ import pytest
 
 from flowsentinel.dataset import Dataset
 from flowsentinel.errors import ConfigurationError, DimensionError, ValidationError
+from flowsentinel.optim import softmax_ce_grad
 from flowsentinel.pipeline import (
     SplitIndices,
     apply_standardizer,
@@ -17,10 +18,11 @@ from flowsentinel.tensor import Tensor
 from flowsentinel.trainer import (
     ArchitectureConfig,
     TrainConfig,
+    backward,
     build_model,
     evaluate,
     flatten_length,
-    loss_and_gradients,
+    forward,
     param_shapes,
     predict,
     shape_chain,
@@ -29,7 +31,7 @@ from flowsentinel.trainer import (
 from flowsentinel.trainer import _eval_split
 
 from conftest import blob_taxonomy, gaussian_blobs
-from oracles import assert_grad_close, central_diff, fast_model_loss
+from oracles import assert_grad_close, central_diff_stacked, fast_model_loss
 
 
 def _prepared_blobs(n_per_class, seed, val_fraction=None, train_seed=42):
@@ -101,14 +103,18 @@ def test_end_to_end_gradient_matches_finite_differences():
         x = rng.standard_normal((12, 1))
         y = np.zeros(3)
         y[rng.integers(0, 3)] = 1.0
-        loss, grads, _ = loss_and_gradients(model, Tensor(x), Tensor(y))
+        logits, activations = forward(model, x[None])  # the N=1 batch
+        lv = softmax_ce_grad(logits, y[None])
+        grads = backward(model, activations, lv.grad)
+        loss = float(lv.loss[0])
         params = {name: p.copy() for name, p in model.params.items()}
         assert abs(fast_model_loss(params, x, y) - loss) <= 1e-12 * max(1.0, abs(loss))
         for name in params:
-            numeric = central_diff(
-                lambda: fast_model_loss(params, x, y), params[name], h=1e-6
+            numeric = central_diff_stacked(
+                lambda stack: fast_model_loss({**params, name: stack}, x, y),
+                params[name], h=1e-6,
             )
-            assert_grad_close(grads[name].array, numeric, rel=1e-5, floor=1e-4,
+            assert_grad_close(grads[name], numeric, rel=1e-5, floor=1e-4,
                               label=f"seed {seed} {name}")
 
 
