@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,8 +29,13 @@ BINARY_ATTACK_LABEL = "Attack"
 
 _RULE_KINDS = ("exact", "prefix", "contains")
 
-# How many offending cells to name before truncating the error message.
+# How many offending cells or rows to name before truncating the error message.
 _MAX_REPORTED_CELLS = 8
+
+# Rows parsed per block. A block's row strings take several times the memory
+# of its floats, so the block is kept small next to the whole file; 1024 rows
+# still spread the per-block calls thin.
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -132,78 +139,167 @@ def load_taxonomy(path: str) -> Taxonomy:
                 rules.append(TaxonomyRule(kind, pattern, category))
     except OSError as exc:
         raise TaxonomyError(f"cannot read taxonomy file: {exc}") from exc
+    except UnicodeDecodeError:
+        raise TaxonomyError(_undecodable(path)) from None
     if not rules:
         raise TaxonomyError(f"{path}: no rules found")
     return Taxonomy(rules=rules)
 
 
-def _read_header_and_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    """The header and the rows; rejects duplicate column names and any row
-    whose field count differs from the header's."""
+def _undecodable(path: str) -> str:
+    """Name the first line of `path` that is not valid UTF-8. The text
+    decoder reads ahead in chunks, so where it fails is not a line number;
+    no UTF-8 sequence contains a newline byte, so each line decodes alone."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return f"{path}:{lineno}: not valid UTF-8"
+    return f"{path}: not valid UTF-8"
+
+
+def _listing(items: list[str], sep: str) -> str:
+    """The first items up to the cap; `, ...` marks that more exist."""
+    more = ", ..." if len(items) > _MAX_REPORTED_CELLS else ""
+    return sep.join(items[:_MAX_REPORTED_CELLS]) + more
+
+
+def _parse_block(block: list[list[str]], columns: list[int]) -> np.ndarray | None:
+    """The block's cells in `columns` as a (rows, columns) float64 array,
+    every cell through `float` in one C-level pass; None when a cell does not
+    parse or is not finite."""
+    if len(columns) == 1:  # itemgetter of one index returns the cell itself
+        cells = map(itemgetter(columns[0]), block)
+    elif columns:
+        cells = chain.from_iterable(map(itemgetter(*columns), block))
+    else:
+        cells = iter(())
+    try:
+        values = np.fromiter(
+            map(float, cells), dtype=np.float64, count=len(block) * len(columns)
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.reshape(len(block), len(columns))
+
+
+def _bad_cells(
+    block: list[list[str]], columns: list[int], header: list[str], row0: int
+) -> Iterator[str]:
+    """Name the block's unparsable or non-finite cells; rows count from the
+    first data row of the file, `row0` being the rows before this block."""
+    for r, row in enumerate(block, start=row0 + 1):
+        for j in columns:
+            try:
+                ok = math.isfinite(float(row[j]))
+            except ValueError:
+                ok = False
+            if not ok:
+                yield f"row {r}, column {header[j]}"
+
+
+_Select = Callable[[list[str]], tuple[list[int], int | None]]
+
+
+def _read_csv(path: str, select: _Select) -> tuple[list[str], np.ndarray, list[str]]:
+    """Stream a CSV in blocks of `_BLOCK_ROWS` rows into float64 features.
+
+    `select(header)` returns the feature column indices and the label column
+    index (None for no labels), or raises SchemaError. Returns the feature
+    names, the (rows, features) array and the labels. No block's row
+    strings outlive it. The whole file is read before a fault in its content
+    is raised, so the one reported is, by precedence: a read error, an empty
+    file, a duplicate header name, rows whose field count differs from the
+    header's (across the whole file), the columns `select` rejects, and
+    unparsable or non-finite feature cells.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{path}: file is empty, header row required")
-            rows = list(reader)
+                return _read_blocks(path, reader, select)
+            except csv.Error as exc:
+                raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    if len(set(header)) != len(header):
+    except UnicodeDecodeError:
+        raise DatasetError(_undecodable(path)) from None
+
+
+def _read_blocks(
+    path: str, reader: Iterator[list[str]], select: _Select
+) -> tuple[list[str], np.ndarray, list[str]]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: file is empty, header row required") from None
+    duplicate = len(set(header)) != len(header)
+    try:
+        columns, label_j = select(header)
+        rejected = None
+    except SchemaError as exc:
+        columns, label_j, rejected = [], None, exc
+    width = len(header)
+    ragged: list[str] = []
+    bad: list[str] = []
+    blocks: list[np.ndarray] = []
+    labels: list[str] = []
+    row0 = 0
+    while block := list(islice(reader, _BLOCK_ROWS)):
+        if set(map(len, block)) != {width}:
+            ragged += (
+                str(r) for r, row in enumerate(block, start=row0 + 1)
+                if len(row) != width
+            )
+            del ragged[_MAX_REPORTED_CELLS + 1:]
+        # Past a fault that outranks bad cells, or past the cap, only the
+        # field counts and read errors of the remaining rows still matter.
+        if not (duplicate or ragged or rejected or len(bad) > _MAX_REPORTED_CELLS):
+            values = _parse_block(block, columns)
+            if values is None:
+                bad += islice(
+                    _bad_cells(block, columns, header, row0),
+                    _MAX_REPORTED_CELLS + 1 - len(bad),
+                )
+            else:
+                blocks.append(values)
+                if label_j is not None:
+                    labels += map(itemgetter(label_j), block)
+        row0 += len(block)
+    if duplicate:
         raise SchemaError(f"{path}: duplicate column names in header")
-    ragged = [str(r + 1) for r, row in enumerate(rows) if len(row) != len(header)]
     if ragged:
         raise DatasetError(
             f"{path}: rows with wrong field count rejected: rows "
-            + ", ".join(ragged[:_MAX_REPORTED_CELLS])
+            + _listing(ragged, ", ")
         )
-    return header, rows
-
-
-def _parse_feature_block(
-    rows: list[list[str]],
-    columns: Sequence[int],
-    names: Sequence[str],
-    path: str,
-) -> np.ndarray:
-    values = np.empty((len(rows), len(columns)))
-    bad: list[str] = []
-    for r, row in enumerate(rows):
-        for out_j, j in enumerate(columns):
-            try:
-                v = float(row[j])
-                ok = math.isfinite(v)
-            except ValueError:
-                ok = False
-            if not ok:
-                if len(bad) < _MAX_REPORTED_CELLS:
-                    bad.append(f"row {r + 1}, column {names[out_j]}")
-                continue
-            values[r, out_j] = v
+    if rejected:
+        raise rejected
     if bad:
-        suffix = ", ..." if len(bad) == _MAX_REPORTED_CELLS else ""
         raise DatasetError(
             f"{path}: non-finite or unparsable feature values rejected at "
-            + "; ".join(bad)
-            + suffix
+            + _listing(bad, "; ")
         )
-    return values
+    values = np.concatenate(blocks) if blocks else np.empty((0, len(columns)))
+    return [header[j] for j in columns], values, labels
 
 
 def load_csv(path: str, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
     """Parse a flow-feature CSV into float64 features plus string labels."""
-    header, rows = _read_header_and_rows(path)
-    if label_column not in header:
-        raise SchemaError(
-            f"{path}: label column {label_column!r} not in header "
-            f"{header}"
-        )
-    label_j = header.index(label_column)
-    feature_cols = [j for j in range(len(header)) if j != label_j]
-    feature_names = [header[j] for j in feature_cols]
-    values = _parse_feature_block(rows, feature_cols, feature_names, path)
-    labels = [row[label_j] for row in rows]
+
+    def select(header: list[str]) -> tuple[list[int], int]:
+        if label_column not in header:
+            raise SchemaError(
+                f"{path}: label column {label_column!r} not in header "
+                f"{header}"
+            )
+        label_j = header.index(label_column)
+        return [j for j in range(len(header)) if j != label_j], label_j
+
+    feature_names, values, labels = _read_csv(path, select)
     return Dataset(
         features=Tensor._wrap(values),
         raw_labels=labels,
@@ -218,14 +314,16 @@ def load_feature_matrix(path: str, feature_names: Sequence[str]) -> Tensor:
     Any other columns (including labels) are ignored, so prediction input
     does not need to be labeled.
     """
-    header, rows = _read_header_and_rows(path)
-    missing = [name for name in feature_names if name not in header]
-    if missing:
-        raise SchemaError(
-            f"{path}: missing feature columns {missing}; header has {header}"
-        )
-    columns = [header.index(name) for name in feature_names]
-    values = _parse_feature_block(rows, columns, list(feature_names), path)
+
+    def select(header: list[str]) -> tuple[list[int], None]:
+        missing = [name for name in feature_names if name not in header]
+        if missing:
+            raise SchemaError(
+                f"{path}: missing feature columns {missing}; header has {header}"
+            )
+        return [header.index(name) for name in feature_names], None
+
+    _, values, _ = _read_csv(path, select)
     return Tensor._wrap(values)
 
 

@@ -167,6 +167,55 @@ def test_rows_with_wrong_field_count_are_data_errors(trained_model, tmp_path,
     assert "rows with wrong field count rejected: rows 3, 5" in captured.err
 
 
+def _undecodable_copy(src, dst, line):
+    """A copy of `src` whose 1-based `line` starts with bytes that are not
+    UTF-8, far enough in that the decoder reads ahead past earlier lines."""
+    lines = Path(src).read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff\xfe" + lines[line - 1]
+    dst.write_bytes(b"".join(lines))
+    return str(dst)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+def test_undecodable_csv_is_data_error(trained_model, tmp_path, capsys, recwarn,
+                                       command):
+    data, model = trained_model
+    bad = _undecodable_copy(data, tmp_path / "latin.csv", 41)
+    if command == "train":
+        argv = ["train", "--data", bad, "--out", str(tmp_path / "m.fsnt")]
+    else:
+        argv = [command, "--model", model, "--data", bad]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert f"{bad}:41: not valid UTF-8" in captured.err
+
+
+def test_undecodable_taxonomy_is_data_error(trained_model, tmp_path, capsys,
+                                            recwarn):
+    data, _ = trained_model
+    rules = tmp_path / "rules.txt"
+    rules.write_bytes(b"exact,Benign,Benign\nprefix,D\xe9S,DoS\n")
+    assert run(["train", "--data", data, "--taxonomy", str(rules),
+                "--out", str(tmp_path / "m.fsnt")]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert f"{rules}:2: not valid UTF-8" in captured.err
+
+
+def test_oversized_csv_field_is_data_error(trained_model, tmp_path, capsys,
+                                           recwarn):
+    data, _ = trained_model
+    lines = Path(data).read_text(encoding="utf-8").splitlines()
+    lines[2] = "1" * 131073 + lines[2][lines[2].index(","):]
+    big = tmp_path / "big.csv"
+    big.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["train", "--data", str(big), "--out", str(tmp_path / "m.fsnt")]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert f"{big}:3: field larger than field limit" in captured.err
+
+
 def test_train_rejects_unknown_label(tmp_path):
     p = write_flow_csv(tmp_path / "odd.csv", n_per_class=12,
                        labels=("Benign", "DDoS-TCP", "Mystery-Attack"))
