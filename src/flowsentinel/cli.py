@@ -21,7 +21,6 @@ from .dataset import (
     load_feature_matrix,
     load_taxonomy,
     map_labels,
-    select_features,
     subsample_stratified,
 )
 from .errors import FlowSentinelError, ModelStoreError, ValidationError
@@ -29,7 +28,6 @@ from .pipeline import (
     apply_standardizer,
     encode_labels,
     fit_standardizer,
-    one_hot_rows,
     stratified_split,
 )
 from .store import ModelMetadata, load_model, save_model
@@ -139,14 +137,6 @@ def _load_taxonomy(args):
 
 
 def _cmd_train(args) -> None:
-    taxonomy = _load_taxonomy(args)
-    ds = load_csv(args.data, args.label_column)
-    if ds.sample_count == 0:
-        raise ValidationError(f"{args.data}: no samples to train on")
-    if args.limit_per_class is not None:
-        ds = subsample_stratified(ds, args.limit_per_class, args.seed)
-    mapped = map_labels(ds.raw_labels, taxonomy, args.task)
-    label_map, class_idx = encode_labels(mapped)
     cfg = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -155,13 +145,20 @@ def _cmd_train(args) -> None:
         seed=args.seed,
         early_stop_patience=args.early_stop_patience,
     )
+    taxonomy = _load_taxonomy(args)
+    ds = load_csv(args.data, args.label_column)
+    if ds.sample_count == 0:
+        raise ValidationError(f"{args.data}: no samples to train on")
+    if args.limit_per_class is not None:
+        ds = subsample_stratified(ds, args.limit_per_class, cfg.seed)
+    mapped = map_labels(ds.raw_labels, taxonomy, args.task)
+    label_map, class_idx = encode_labels(mapped)
     split = stratified_split(class_idx, cfg.val_fraction, cfg.seed)
     train_rows = Tensor._wrap(
         np.ascontiguousarray(ds.features.array[split.train_indices])
     )
     preproc = fit_standardizer(train_rows, label_map=label_map, task=args.task)
     x3 = apply_standardizer(preproc, ds.features)
-    y = one_hot_rows(class_idx, len(label_map))
     arch = ArchitectureConfig(
         feature_count=ds.features.shape[1], class_count=len(label_map)
     )
@@ -174,7 +171,7 @@ def _cmd_train(args) -> None:
             file=sys.stderr,
         )
 
-    model, history = train(model, x3, y, cfg, split=split, on_epoch=on_epoch)
+    model, history = train(model, x3, class_idx, cfg, split, on_epoch=on_epoch)
     last = history.epochs_run() - 1
     metadata = ModelMetadata(
         task=args.task,
@@ -208,8 +205,7 @@ def _cmd_train(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     model, preproc, taxonomy, metadata, feature_names = load_model(args.model)
-    ds = load_csv(args.data, metadata.label_column)
-    ds = select_features(ds, feature_names)
+    ds = load_csv(args.data, metadata.label_column, feature_names)
     report = evaluate(model, preproc, ds, taxonomy, metadata.task)
     if args.format == "structured":
         text = json.dumps(report.to_dict(), indent=2)

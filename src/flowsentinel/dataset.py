@@ -287,8 +287,26 @@ def _read_blocks(
     return [header[j] for j in columns], values, labels
 
 
-def load_csv(path: str, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
-    """Parse a flow-feature CSV into float64 features plus string labels."""
+def _named_columns(path: str, header: list[str], names: Sequence[str]) -> list[int]:
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise SchemaError(
+            f"{path}: missing feature columns {missing}; header has {header}"
+        )
+    return [header.index(name) for name in names]
+
+
+def load_csv(
+    path: str,
+    label_column: str = DEFAULT_LABEL_COLUMN,
+    feature_names: Sequence[str] | None = None,
+) -> Dataset:
+    """Parse a flow-feature CSV into float64 features plus string labels.
+
+    With `feature_names` None every column but the label is a feature, in
+    file order; otherwise exactly the named columns are, in the given order,
+    and no other column is parsed.
+    """
 
     def select(header: list[str]) -> tuple[list[int], int]:
         if label_column not in header:
@@ -297,14 +315,16 @@ def load_csv(path: str, label_column: str = DEFAULT_LABEL_COLUMN) -> Dataset:
                 f"{header}"
             )
         label_j = header.index(label_column)
+        if feature_names is not None:
+            return _named_columns(path, header, feature_names), label_j
         return [j for j in range(len(header)) if j != label_j], label_j
 
-    feature_names, values, labels = _read_csv(path, select)
+    names, values, labels = _read_csv(path, select)
     return Dataset(
         features=Tensor._wrap(values),
         raw_labels=labels,
         source=path,
-        feature_names=feature_names,
+        feature_names=names,
     )
 
 
@@ -316,32 +336,10 @@ def load_feature_matrix(path: str, feature_names: Sequence[str]) -> Tensor:
     """
 
     def select(header: list[str]) -> tuple[list[int], None]:
-        missing = [name for name in feature_names if name not in header]
-        if missing:
-            raise SchemaError(
-                f"{path}: missing feature columns {missing}; header has {header}"
-            )
-        return [header.index(name) for name in feature_names], None
+        return _named_columns(path, header, feature_names), None
 
     _, values, _ = _read_csv(path, select)
     return Tensor._wrap(values)
-
-
-def select_features(ds: Dataset, feature_names: Sequence[str]) -> Dataset:
-    """Reorder/restrict a dataset's feature columns to the given names."""
-    missing = [n for n in feature_names if n not in ds.feature_names]
-    if missing:
-        raise ValidationError(
-            f"dataset {ds.source} lacks feature columns {missing}"
-        )
-    if list(feature_names) == ds.feature_names:
-        return ds
-    cols = [ds.feature_names.index(n) for n in feature_names]
-    return replace(
-        ds,
-        features=Tensor._wrap(np.ascontiguousarray(ds.features.array[:, cols])),
-        feature_names=list(feature_names),
-    )
 
 
 def map_labels(

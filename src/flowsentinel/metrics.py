@@ -7,7 +7,7 @@ so subsampled runs with absent classes still produce a report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,25 +43,7 @@ class EvalReport:
     total: int
 
     def to_dict(self) -> dict:
-        return {
-            "class_names": list(self.class_names),
-            "confusion": self.confusion.tolist(),
-            "accuracy": self.accuracy,
-            "per_class": [
-                {
-                    "name": c.name,
-                    "precision": c.precision,
-                    "recall": c.recall,
-                    "f1": c.f1,
-                    "support": c.support,
-                    "degenerate": c.degenerate,
-                }
-                for c in self.per_class
-            ],
-            "macro": vars(self.macro).copy(),
-            "weighted": vars(self.weighted).copy(),
-            "total": self.total,
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
     def to_text(self) -> str:
         name_w = max([len("weighted")] + [len(n) for n in self.class_names])

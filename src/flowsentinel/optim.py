@@ -17,9 +17,9 @@ from .layers import softmax
 PROB_FLOOR = 1e-12
 
 DEFAULT_LR = 0.001
-DEFAULT_BETA1 = 0.9
-DEFAULT_BETA2 = 0.999
-DEFAULT_EPSILON = 1e-8
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass
@@ -34,9 +34,6 @@ class AdamState:
 
     shape: tuple[int, ...]
     lr: float = DEFAULT_LR
-    beta1: float = DEFAULT_BETA1
-    beta2: float = DEFAULT_BETA2
-    epsilon: float = DEFAULT_EPSILON
     t: int = 0
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
@@ -47,31 +44,54 @@ class AdamState:
         self.v = np.zeros(self.shape)
 
 
-def _one_hot_indices(targets: np.ndarray) -> np.ndarray:
-    """Column of the single 1 in each row; raises unless every row is one-hot."""
-    ones = targets == 1.0
-    if not (np.all(ones | (targets == 0.0)) and np.all(ones.sum(axis=1) == 1)):
-        raise ValidationError("target must be one-hot (a single 1, rest 0)")
-    return ones.argmax(axis=1)
+def class_indices(
+    targets: Sequence[int] | np.ndarray, samples: int, classes: int
+) -> np.ndarray:
+    """`targets` as a (samples,) integer array of indices in [0, classes).
 
-
-def softmax_ce_grad(logits: np.ndarray, one_hot_target: np.ndarray) -> LossValue:
-    """Loss of softmax(logits) against the target, and its logits gradient.
-
-    Takes (samples, classes) arrays of logits and one-hot rows and returns
-    one loss per sample. The gradient is softmax(logits) - target, the
-    closed form for the softmax/cross-entropy pair.
+    Raises rather than let a float, a one-hot row or an out-of-range index
+    through; numpy would wrap a negative index silently.
     """
-    if logits.shape != one_hot_target.shape or logits.ndim != 2:
+    targets = np.asarray(targets)
+    if targets.shape != (samples,):
         raise DimensionError(
-            f"logits {logits.shape} and target {one_hot_target.shape} must be "
-            "equal-shape (samples, classes) arrays"
+            f"targets {targets.shape} must be ({samples},) class indices"
         )
-    idx = _one_hot_indices(one_hot_target)
+    if targets.dtype.kind not in "iu":
+        raise ValidationError(
+            f"targets must be integer class indices, got dtype {targets.dtype}"
+        )
+    if samples and not (targets.min() >= 0 and targets.max() < classes):
+        bad = targets[(targets < 0) | (targets >= classes)][0]
+        raise ValidationError(
+            f"class index {bad} out of range for {classes} classes"
+        )
+    return targets
+
+
+def softmax_ce_grad(
+    logits: np.ndarray, targets: Sequence[int] | np.ndarray
+) -> LossValue:
+    """Loss of softmax(logits) against the target classes, and its logits
+    gradient.
+
+    Takes (samples, classes) logits and (samples,) class indices and returns
+    one loss per sample. The gradient is softmax(logits) minus the one-hot
+    target, the closed form for the softmax/cross-entropy pair; subtracting
+    1 at the target alone gives the same bits, as p - 0 == p.
+    """
+    if logits.ndim != 2:
+        raise DimensionError(
+            f"logits must be (samples, classes), got {logits.shape}"
+        )
+    targets = class_indices(targets, *logits.shape)
     probs = softmax(logits)
-    picked = probs[np.arange(len(idx)), idx]
-    losses = np.array([-math.log(max(float(p), PROB_FLOOR)) for p in picked])
-    return LossValue(loss=losses, grad=probs - one_hot_target)
+    rows = np.arange(len(targets))
+    losses = np.array(
+        [-math.log(max(float(p), PROB_FLOOR)) for p in probs[rows, targets]]
+    )
+    probs[rows, targets] -= 1.0
+    return LossValue(loss=losses, grad=probs)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -83,11 +103,11 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
             f"optimizer state {state.shape}"
         )
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (grads * grads)
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
-    update = state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grads
+    state.v = BETA2 * state.v + (1.0 - BETA2) * (grads * grads)
+    m_hat = state.m / (1.0 - BETA1**state.t)
+    v_hat = state.v / (1.0 - BETA2**state.t)
+    update = state.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
     return params - update
 
 

@@ -1,5 +1,5 @@
-"""Preprocessing chain: label encoding, one-hot rows, z-score
-standardization with a zero-variance guard, and stratified splitting.
+"""Preprocessing chain: label encoding, z-score standardization with a
+zero-variance guard, and stratified splitting.
 
 The standardizer is fitted on the training rows only and replayed unchanged
 everywhere else; apply_standardizer never sees labels.
@@ -56,7 +56,6 @@ class PreprocState:
 class SplitIndices:
     train_indices: list[int]
     val_indices: list[int]
-    seed: int
 
 
 def encode_labels(raw_labels: Sequence[str]) -> tuple[list[str], list[int]]:
@@ -66,18 +65,6 @@ def encode_labels(raw_labels: Sequence[str]) -> tuple[list[str], list[int]]:
     label_map = sorted(set(raw_labels))
     index = {label: i for i, label in enumerate(label_map)}
     return label_map, [index[label] for label in raw_labels]
-
-
-def one_hot_rows(class_indices: Sequence[int], num_classes: int) -> Tensor:
-    """One one-hot row per index, stacked into a (n, num_classes) tensor."""
-    rows = np.zeros((len(class_indices), num_classes))
-    for i, c in enumerate(class_indices):
-        if not 0 <= c < num_classes:
-            raise ValidationError(
-                f"class index {c} out of range for {num_classes} classes"
-            )
-        rows[i, c] = 1.0
-    return Tensor._wrap(rows)
 
 
 def fit_standardizer(
@@ -148,6 +135,4 @@ def stratified_split(
         shuffled = [members[j] for j in order]
         val.extend(shuffled[:n_val])
         train.extend(shuffled[n_val:])
-    return SplitIndices(
-        train_indices=sorted(train), val_indices=sorted(val), seed=seed
-    )
+    return SplitIndices(train_indices=sorted(train), val_indices=sorted(val))

@@ -22,8 +22,10 @@ from . import layers as L
 from .dataset import Dataset, Taxonomy, map_labels
 from .errors import ConfigurationError, DimensionError, ValidationError
 from .metrics import EvalReport, classification_report, confusion_matrix
-from .optim import AdamState, adam_step, glorot_uniform_init, softmax_ce_grad
-from .pipeline import PreprocState, SplitIndices, apply_standardizer, stratified_split
+from .optim import (
+    AdamState, adam_step, class_indices, glorot_uniform_init, softmax_ce_grad,
+)
+from .pipeline import PreprocState, SplitIndices, apply_standardizer
 from .tensor import Tensor
 
 # Samples per forward pass in validation, predict and evaluate. Past about 32
@@ -43,10 +45,12 @@ class ArchitectureConfig:
     dense_units: int = 128
 
     def __post_init__(self):
-        if self.class_count < 1:
-            raise ConfigurationError(
-                f"class_count must be >= 1, got {self.class_count}"
-            )
+        for name in ("class_count", "conv1_filters", "conv2_filters",
+                     "kernel_size", "pool_size", "dense_units"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
         shape_chain(self)  # raises if feature_count cannot flow through
 
 
@@ -124,6 +128,8 @@ class TrainConfig:
             )
         if self.early_stop_patience < 0:
             raise ValidationError("early_stop_patience must be >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -132,7 +138,7 @@ class TrainHistory:
     train_acc: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
-    best_epoch: int = 0  # 0-based index of the minimum validation loss
+    best_epoch: int = 0  # 0-based; the minimum validation loss, else the last
 
     def epochs_run(self) -> int:
         return len(self.train_loss)
@@ -236,8 +242,8 @@ def backward(
     return dict(zip(model.params, pairs))
 
 
-def _correct(logits: np.ndarray, one_hot: np.ndarray) -> int:
-    return int(np.count_nonzero(np.argmax(logits, axis=1) == np.argmax(one_hot, axis=1)))
+def _correct(logits: np.ndarray, targets: np.ndarray) -> int:
+    return int(np.count_nonzero(np.argmax(logits, axis=1) == targets))
 
 
 def _eval_split(
@@ -261,40 +267,26 @@ def _eval_split(
 def train(
     model: ModelParams,
     dataset_features: Tensor,
-    one_hot_labels: Tensor,
+    labels: Sequence[int] | np.ndarray,
     cfg: TrainConfig,
-    split: SplitIndices | None = None,
+    split: SplitIndices,
     on_epoch: Callable[[int, int, float, float, float, float], None] | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Mini-batch training with per-epoch validation monitoring.
 
     Features must already be standardized and shaped (samples, F, 1); labels
-    one-hot with class_count columns. When `split` is omitted it is derived
-    from cfg.val_fraction and cfg.seed. With early_stop_patience > 0,
-    training stops after that many consecutive epochs without a validation
-    loss improvement and the best epoch's parameters are restored. A batch
-    whose loss or updated parameters are not finite raises ValidationError
-    naming its epoch and batch.
+    are one integer class index per sample, below class_count. With
+    early_stop_patience > 0, training stops after that many consecutive
+    epochs without a validation loss improvement and the best epoch's
+    parameters are restored. A batch whose loss or updated parameters are
+    not finite raises ValidationError naming its epoch and batch.
     """
     if dataset_features.rank != 3 or dataset_features.shape[2] != 1:
         raise DimensionError(
             f"features must be (samples, features, 1), got {dataset_features.shape}"
         )
-    if one_hot_labels.rank != 2 or one_hot_labels.shape[1] != model.arch.class_count:
-        raise DimensionError(
-            f"labels must be (samples, {model.arch.class_count}), "
-            f"got {one_hot_labels.shape}"
-        )
-    if dataset_features.shape[0] != one_hot_labels.shape[0]:
-        raise DimensionError(
-            f"{dataset_features.shape[0]} samples vs "
-            f"{one_hot_labels.shape[0]} label rows"
-        )
     x3 = dataset_features.array
-    y = one_hot_labels.array
-    if split is None:
-        class_indices = [int(i) for i in np.argmax(y, axis=1)]
-        split = stratified_split(class_indices, cfg.val_fraction, cfg.seed)
+    y = class_indices(labels, x3.shape[0], model.arch.class_count)
     train_idx = list(split.train_indices)
     val_idx = list(split.val_indices)
     if not train_idx:
@@ -350,15 +342,17 @@ def train(
         if not math.isnan(val_loss) and val_loss < best_val:
             best_val = val_loss
             best_params = dict(model.params)  # adam_step never updates in place
+            history.best_epoch = epoch
             stale = 0
         else:
             stale += 1
         if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
             break
 
-    if cfg.early_stop_patience > 0 and best_params is not None:
+    if best_params is None:
+        history.best_epoch = history.epochs_run() - 1
+    elif cfg.early_stop_patience > 0:
         model.params.update(best_params)
-    history.best_epoch = _best_epoch(history.val_loss)
     return model, history
 
 
@@ -367,14 +361,6 @@ def _diverged(epoch: int, batch: int, what: str) -> ValidationError:
         f"training diverged at epoch {epoch + 1}, batch {batch}: {what} is "
         "not finite (try a smaller learning rate)"
     )
-
-
-def _best_epoch(val_losses: list[float]) -> int:
-    best, best_i = math.inf, len(val_losses) - 1
-    for i, v in enumerate(val_losses):
-        if not math.isnan(v) and v < best:
-            best, best_i = v, i
-    return best_i
 
 
 def predict(

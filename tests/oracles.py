@@ -87,16 +87,17 @@ _PARAM_RANK = {"conv1.weights": 3, "conv1.bias": 1, "conv2.weights": 3,
                "output.weights": 2, "output.bias": 1}
 
 
-def fast_model_loss(params: dict, x: np.ndarray, y: np.ndarray,
+def fast_model_loss(params: dict, x: np.ndarray, y: int,
                     pool: int = 2, prob_floor: float = 1e-12):
     """Vectorized re-implementation of the whole network's loss.
 
     Same mathematical function as the production stack (im2col + matmul
     instead of ordered folds), used as the independent route for end-to-end
     finite differences. `params` maps the eight parameter names to ndarrays;
-    x is (features, 1); y is a one-hot vector. Returns the loss as a float.
-    One parameter may carry an extra leading axis of P perturbed copies; the
-    call then returns the P losses as an array, one forward pass for all.
+    x is (features, 1); y is the target class index. Returns the loss as a
+    float. One parameter may carry an extra leading axis of P perturbed
+    copies; the call then returns the P losses as an array, one forward pass
+    for all.
     """
     stacked = any(v.ndim > _PARAM_RANK[n] for n, v in params.items())
     p = {n: v if v.ndim > _PARAM_RANK[n] else v[None] for n, v in params.items()}
@@ -126,5 +127,5 @@ def fast_model_loss(params: dict, x: np.ndarray, y: np.ndarray,
     z = dense(h, p["output.weights"], p["output.bias"])
     e = np.exp(z - z.max(axis=1, keepdims=True))
     probs = e / e.sum(axis=1, keepdims=True)
-    losses = -np.log(np.maximum(probs[:, int(np.argmax(y))], prob_floor))
+    losses = -np.log(np.maximum(probs[:, int(y)], prob_floor))
     return losses if stacked else float(losses[0])

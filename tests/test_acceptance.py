@@ -31,7 +31,6 @@ from flowsentinel.pipeline import (
     apply_standardizer,
     encode_labels,
     fit_standardizer,
-    one_hot_rows,
     stratified_split,
 )
 from flowsentinel.store import load_model
@@ -136,14 +135,13 @@ def test_criterion_1_gradient_suite():
 
             # softmax + cross-entropy
             logits = rng.standard_normal(5) * 2
-            target_vec = np.zeros(5)
-            target_vec[rng.integers(0, 5)] = 1.0
-            analytic = softmax_ce_grad(logits[None], target_vec[None]).grad[0]
+            target = rng.integers(0, 5)
+            analytic = softmax_ce_grad(logits[None], np.array([target])).grad[0]
 
             def ce_loss():
                 e = np.exp(logits - logits.max())
                 p = e / e.sum()
-                return float(-np.log(max(p[int(np.argmax(target_vec))], 1e-12)))
+                return float(-np.log(max(p[target], 1e-12)))
 
             assert_grad_close(analytic, central_diff(ce_loss, logits),
                               rel=1e-6, floor=1e-3, label="softmax-ce")
@@ -153,10 +151,9 @@ def test_criterion_1_gradient_suite():
             rng = np.random.default_rng(9000 + seed)
             model = build_model(ArchitectureConfig(12, 3), rng)
             x = rng.standard_normal((12, 1))
-            y = np.zeros(3)
-            y[rng.integers(0, 3)] = 1.0
+            y = rng.integers(0, 3)
             logits, activations = forward(model, x[None])
-            lv = softmax_ce_grad(logits, y[None])
+            lv = softmax_ce_grad(logits, np.array([y]))
             grads = backward(model, activations, lv.grad)
             loss = float(lv.loss[0])
             params = {n: p.copy() for n, p in model.params.items()}
@@ -217,12 +214,11 @@ def test_criterion_5_memorization_and_separable_blobs():
         label_map, idx = encode_labels(labels)
         pre = fit_standardizer(Tensor(x), label_map=label_map)
         x3 = apply_standardizer(pre, Tensor(x))
-        y = one_hot_rows(idx, 3)
         cfg = TrainConfig(epochs=300, batch_size=32, lr=0.01, seed=5)
         model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(5))
         model, hist = train(
-            model, x3, y, cfg,
-            split=SplitIndices(train_indices=list(range(32)), val_indices=[], seed=5),
+            model, x3, idx, cfg,
+            split=SplitIndices(train_indices=list(range(32)), val_indices=[]),
         )
         assert hist.train_acc[-1] == 1.0
 
@@ -234,10 +230,9 @@ def test_criterion_5_memorization_and_separable_blobs():
             Tensor(np.ascontiguousarray(x[split.train_indices])), label_map=label_map
         )
         x3 = apply_standardizer(pre, Tensor(x))
-        y = one_hot_rows(idx, 3)
         cfg = TrainConfig(epochs=10, batch_size=32, lr=0.001, val_fraction=1 / 6, seed=42)
         model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(42))
-        model, hist = train(model, x3, y, cfg, split=split)
+        model, hist = train(model, x3, idx, cfg, split=split)
         assert hist.val_acc[-1] >= 0.95
 
         elapsed = time.perf_counter() - start
@@ -329,8 +324,7 @@ def test_criterion_10_optional_ciciomt_reproduction(tmp_path):
         assert run(["train", "--data", train_csv, "--task", "binary",
                     "--out", binary_model]) == 0
         model, pre, tax, meta, names = load_model(binary_model)
-        from flowsentinel.dataset import select_features
-        ds = select_features(load_csv(test_csv, meta.label_column), names)
+        ds = load_csv(test_csv, meta.label_column, feature_names=names)
         report = evaluate(model, pre, ds, tax, "binary")
         assert report.accuracy >= 0.98
 
@@ -338,6 +332,6 @@ def test_criterion_10_optional_ciciomt_reproduction(tmp_path):
         assert run(["train", "--data", train_csv, "--task", "multiclass",
                     "--out", multi_model]) == 0
         model, pre, tax, meta, names = load_model(multi_model)
-        ds = select_features(load_csv(test_csv, meta.label_column), names)
+        ds = load_csv(test_csv, meta.label_column, feature_names=names)
         report = evaluate(model, pre, ds, tax, "multiclass")
         assert report.macro.f1 >= 0.98 - 0.05

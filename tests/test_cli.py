@@ -6,6 +6,7 @@ import pytest
 
 from flowsentinel.cli import run
 from flowsentinel.dataset import load_csv
+from flowsentinel.trainer import param_shapes
 
 from conftest import write_flow_csv
 
@@ -80,6 +81,18 @@ def test_train_divergence_is_data_error(flow_csv, tmp_path, capsys, recwarn):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--limit-per-class", "5"]],
+                         ids=["all-rows", "limit-per-class"])
+def test_train_rejects_negative_seed(flow_csv, tmp_path, capsys, recwarn, extra):
+    out = tmp_path / "m.fsnt"
+    assert run(["train", "--data", flow_csv, "--seed", "-1", *extra,
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_train_feature_too_large_to_standardize(flow_csv, tmp_path, capsys,
                                                 recwarn):
     lines = Path(flow_csv).read_text(encoding="utf-8").splitlines()
@@ -95,12 +108,19 @@ def test_train_feature_too_large_to_standardize(flow_csv, tmp_path, capsys,
 
 
 CORRUPTIONS = ("nan-payload", "inf-payload", "output-rows", "dense1-width",
-               "extra-entry", "reordered")
+               "extra-entry", "reordered", "dense_units-0", "kernel_size-0")
 
 
-def _corrupt(params, corruption):
-    """Damage a loaded parameter table in place."""
-    if corruption == "nan-payload":
+def _corrupt(model, corruption):
+    """Damage a loaded model in place: its parameter table, or one layer
+    size set to 0 after the architecture was checked, with a zero-valued
+    table of the shapes that size gives."""
+    params = model.params
+    if corruption.endswith("-0"):
+        setattr(model.arch, corruption[: -len("-0")], 0)
+        model.params = {name: np.zeros(shape)
+                        for name, shape in param_shapes(model.arch).items()}
+    elif corruption == "nan-payload":
         params["conv1.weights"][0, 0, 0] = np.nan
     elif corruption == "inf-payload":
         params["dense1.bias"][3] = -np.inf
@@ -136,7 +156,7 @@ def test_corrupt_model_is_exit_3(trained_model, tmp_path, capsys, recwarn,
     data, good = trained_model
     model, pre, taxonomy, meta, names = store.load_model(good)
     assert model.params["output.weights"].shape == (3, 128)
-    _corrupt(model.params, corruption)
+    _corrupt(model, corruption)
     bad = str(tmp_path / "bad.fsnt")
     # save_model refuses such tables; write this one with its check off
     with monkeypatch.context() as patch:
@@ -147,7 +167,12 @@ def test_corrupt_model_is_exit_3(trained_model, tmp_path, capsys, recwarn,
     assert run(argv) == 3
     captured = capsys.readouterr()
     _assert_one_error_line(captured, recwarn)
-    reason = "non-finite value" if "payload" in corruption else "tensor directory"
+    if corruption.endswith("-0"):
+        reason = corruption[: -len("-0")] + " must be >= 1, got 0"
+    elif "payload" in corruption:
+        reason = "non-finite value"
+    else:
+        reason = "tensor directory"
     assert reason in captured.err
 
 
@@ -265,6 +290,28 @@ def test_evaluate_handles_reordered_columns(flow_csv, tmp_path):
         lines.append(",".join([ds.raw_labels[i]] + [repr(float(row[n])) for n in names]))
     shuffled.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run(["evaluate", "--model", model, "--data", str(shuffled)]) == 0
+
+
+def test_evaluate_reads_only_the_model_columns(flow_csv, tmp_path, capsys):
+    # An extra text column the model does not use, and shuffled columns,
+    # leave the report byte-identical to the one from the plain file.
+    model = _train(flow_csv, tmp_path)
+    argv = ["evaluate", "--model", model, "--format", "structured"]
+    capsys.readouterr()
+    assert run(argv + ["--data", flow_csv]) == 0
+    plain = capsys.readouterr().out
+    lines = Path(flow_csv).read_text(encoding="utf-8").splitlines()
+    order = [12, 5, 0, 11, 3, 8, 1, 10, 2, 7, 4, 9, 6]  # label first, then f5...
+    rows = [["device"] + [lines[0].split(",")[j] for j in order]]
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        rows.append([f"sensor-{i % 4}"] + [cells[j] for j in order])
+    extra = tmp_path / "extra.csv"
+    extra.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+    assert run(argv + ["--data", str(extra)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    assert captured.err == ""
 
 
 def test_predict_round_trip_probabilities(flow_csv, tmp_path):

@@ -17,7 +17,6 @@ from flowsentinel.dataset import (
     load_feature_matrix,
     load_taxonomy,
     map_labels,
-    select_features,
     subsample_stratified,
 )
 from flowsentinel.errors import (
@@ -222,12 +221,12 @@ def test_subsample_rejects_bad_cap():
 def test_select_features_reorders(tmp_path):
     p = tmp_path / "cols.csv"
     p.write_text("a,b,label\n1,2,X\n3,4,Y\n", encoding="utf-8")
-    ds = load_csv(str(p))
-    out = select_features(ds, ["b", "a"])
+    out = load_csv(str(p), feature_names=["b", "a"])
     assert out.feature_names == ["b", "a"]
     assert out.features.array.tolist() == [[2.0, 1.0], [4.0, 3.0]]
-    with pytest.raises(ValidationError):
-        select_features(ds, ["a", "missing"])
+    assert out.raw_labels == ["X", "Y"]
+    with pytest.raises(SchemaError, match="missing feature columns"):
+        load_csv(str(p), feature_names=["a", "missing"])
 
 
 def test_load_feature_matrix_ignores_labels(tmp_path):

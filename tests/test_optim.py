@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flowsentinel import layers as L
 from flowsentinel.errors import DimensionError, ValidationError
 from flowsentinel.optim import (
     PROB_FLOOR,
@@ -20,33 +21,37 @@ from oracles import assert_grad_close, central_diff
 
 def test_cross_entropy_perfect_prediction():
     # exp(-1000) underflows to 0, so the target's probability is exactly 1
-    lv = softmax_ce_grad(np.array([[1000.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
+    lv = softmax_ce_grad(np.array([[1000.0, 0.0, 0.0]]), np.array([0]))
     assert lv.loss[0] == 0.0
 
 
 def test_cross_entropy_half():
-    lv = softmax_ce_grad(np.array([[3.0, 3.0]]), np.array([[1.0, 0.0]]))
+    lv = softmax_ce_grad(np.array([[3.0, 3.0]]), np.array([0]))
     assert abs(lv.loss[0] - math.log(2.0)) < 1e-15
 
 
 def test_cross_entropy_clipping_floor():
     # softmax gives the target about exp(-100) < PROB_FLOOR; the loss is
     # clipped at -ln(PROB_FLOOR), for one sample and for a batch
-    lv = softmax_ce_grad(np.array([[0.0, 100.0]]), np.array([[1.0, 0.0]]))
+    lv = softmax_ce_grad(np.array([[0.0, 100.0]]), np.array([0]))
     assert math.isfinite(lv.loss[0])
     assert abs(lv.loss[0] - 27.631021115928547) < 1e-12  # -ln(1e-12)
     assert lv.loss[0] == -math.log(PROB_FLOOR)
-    batch = softmax_ce_grad(np.array([[0.0, 100.0], [0.0, 0.0]]), np.eye(2))
+    batch = softmax_ce_grad(np.array([[0.0, 100.0], [0.0, 0.0]]), np.array([0, 1]))
     assert batch.loss[0] == -math.log(PROB_FLOOR)
 
 
 def test_cross_entropy_validation():
     with pytest.raises(DimensionError):
-        softmax_ce_grad(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
+        softmax_ce_grad(np.array([[1.0, 0.0]]), np.array([0, 1]))
+    with pytest.raises(DimensionError):
+        softmax_ce_grad(np.array([[1.0, 0.0]]), np.array([[1, 0]]))  # one-hot
     with pytest.raises(ValidationError):
-        softmax_ce_grad(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))  # not one-hot
+        softmax_ce_grad(np.array([[0.5, 0.5]]), np.array([0.0]))  # not integer
     with pytest.raises(ValidationError):
-        softmax_ce_grad(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]))
+        softmax_ce_grad(np.zeros((2, 2)), np.array([0, 2]))
+    with pytest.raises(ValidationError, match="class index -1"):
+        softmax_ce_grad(np.zeros((2, 2)), np.array([0, -1]))
 
 
 def test_cross_entropy_nonnegative_random():
@@ -55,22 +60,21 @@ def test_cross_entropy_nonnegative_random():
         z = rng.standard_normal(5)
         p = np.exp(z - z.max())
         p /= p.sum()
-        target = np.zeros(5)
-        target[rng.integers(0, 5)] = 1.0
-        loss = softmax_ce_grad(z[None], target[None]).loss[0]
+        target = rng.integers(0, 5)
+        loss = softmax_ce_grad(z[None], np.array([target])).loss[0]
         assert loss >= 0.0
-        if p[int(np.argmax(target))] < 1.0:
+        if p[target] < 1.0:
             assert loss > 0.0  # zero loss only for a certain correct prediction
 
 
 def test_softmax_ce_grad_uniform():
-    lv = softmax_ce_grad(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+    lv = softmax_ce_grad(np.array([[0.0, 0.0]]), np.array([0]))
     assert lv.grad[0].tolist() == [-0.5, 0.5]
     assert abs(lv.loss[0] - math.log(2.0)) < 1e-15
 
 
 def test_softmax_ce_grad_vanishes_at_optimum():
-    lv = softmax_ce_grad(np.array([[100.0, 0.0]]), np.array([[1.0, 0.0]]))
+    lv = softmax_ce_grad(np.array([[100.0, 0.0]]), np.array([0]))
     assert np.max(np.abs(lv.grad)) < 1e-40
     assert lv.loss[0] < 1e-12
 
@@ -79,9 +83,8 @@ def test_softmax_ce_grad_sums_to_zero():
     rng = np.random.default_rng(2)
     for _ in range(30):
         logits = rng.standard_normal(7) * 5
-        target = np.zeros(7)
-        target[rng.integers(0, 7)] = 1.0
-        lv = softmax_ce_grad(logits[None], target[None])
+        target = rng.integers(0, 7)
+        lv = softmax_ce_grad(logits[None], np.array([target]))
         assert abs(float(lv.grad.sum())) < 1e-12
 
 
@@ -89,15 +92,14 @@ def test_softmax_ce_grad_finite_differences():
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
         logits = rng.standard_normal(5) * 2
-        target = np.zeros(5)
-        target[rng.integers(0, 5)] = 1.0
+        target = rng.integers(0, 5)
 
         def loss():
             e = np.exp(logits - logits.max())
             p = e / e.sum()
-            return float(-np.log(max(p[int(np.argmax(target))], 1e-12)))
+            return float(-np.log(max(p[target], 1e-12)))
 
-        analytic = softmax_ce_grad(logits[None], target[None]).grad[0]
+        analytic = softmax_ce_grad(logits[None], np.array([target])).grad[0]
         numeric = central_diff(loss, logits, h=1e-6)
         assert_grad_close(analytic, numeric, rel=1e-6, floor=1e-3,
                           label=f"softmax-ce seed {seed}")
@@ -167,3 +169,26 @@ def test_glorot_sample_mean_near_zero():
 def test_glorot_rejects_bad_fans():
     with pytest.raises(ValidationError):
         glorot_uniform_init((2,), 0, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33])
+@pytest.mark.parametrize("classes", [1, 2, 19])
+def test_index_targets_match_one_hot_closed_form_bitwise(n, classes):
+    # Subtracting 1 at the target alone must give the bits of
+    # softmax - one_hot, and the loss the floored -log of the target's
+    # probability. Every other row is scaled so the target gets about
+    # exp(-100) < PROB_FLOOR and the floor is hit.
+    rng = np.random.default_rng(600 + 10 * n + classes)
+    logits = rng.standard_normal((n, classes)) * 3
+    targets = rng.integers(0, classes, size=n)
+    far = np.arange(n) % 2 == 1
+    if classes > 1:
+        logits[far, targets[far]] -= 100.0
+    lv = softmax_ce_grad(logits, targets)
+    probs = L.softmax(logits)
+    assert np.array_equal(lv.grad, probs - np.eye(classes)[targets])
+    want = [-math.log(max(float(probs[i, t]), PROB_FLOOR))
+            for i, t in enumerate(targets)]
+    assert lv.loss.tolist() == want
+    if classes > 1 and n > 1:
+        assert lv.loss[1] == -math.log(PROB_FLOOR)

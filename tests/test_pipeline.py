@@ -7,7 +7,6 @@ from flowsentinel.pipeline import (
     apply_standardizer,
     encode_labels,
     fit_standardizer,
-    one_hot_rows,
     stratified_split,
 )
 from flowsentinel.tensor import Tensor
@@ -34,31 +33,6 @@ def test_encode_labels_sorts():
 def test_encode_labels_empty():
     with pytest.raises(ValidationError):
         encode_labels([])
-
-
-def test_one_hot():
-    assert one_hot_rows([1], 3).array.tolist() == [[0.0, 1.0, 0.0]]
-    assert one_hot_rows([0], 1).array.tolist() == [[1.0]]
-    with pytest.raises(ValidationError):
-        one_hot_rows([3], 3)
-    with pytest.raises(ValidationError):
-        one_hot_rows([0, -1], 3)
-
-
-def test_encode_one_hot_argmax_round_trip():
-    labels = ["DoS", "Benign", "MQTT", "Benign", "DoS"]
-    label_map, idx = encode_labels(labels)
-    rows = one_hot_rows(idx, len(label_map))
-    for i, c in enumerate(idx):
-        assert int(np.argmax(rows.array[i])) == c
-        assert label_map[int(np.argmax(rows.array[i]))] == labels[i]
-
-
-def test_one_hot_rows_stacks_one_row_per_index():
-    rows = one_hot_rows([2, 0, 1], 3)
-    assert rows.shape == (3, 3)
-    assert rows.array.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    assert one_hot_rows([], 4).shape == (0, 4)
 
 
 def test_fit_standardizer_two_points():

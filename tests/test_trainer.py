@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from flowsentinel.dataset import Dataset
-from flowsentinel.errors import ConfigurationError, DimensionError, ValidationError
+from flowsentinel.errors import (
+    ConfigurationError,
+    DimensionError,
+    FlowSentinelError,
+    ValidationError,
+)
 from flowsentinel.optim import softmax_ce_grad
 from flowsentinel.pipeline import (
     SplitIndices,
     apply_standardizer,
     encode_labels,
     fit_standardizer,
-    one_hot_rows,
     stratified_split,
 )
 from flowsentinel.tensor import Tensor
@@ -40,14 +44,14 @@ def _prepared_blobs(n_per_class, seed, val_fraction=None, train_seed=42):
     label_map, idx = encode_labels(labels)
     n = len(labels)
     if val_fraction is None:
-        split = SplitIndices(train_indices=list(range(n)), val_indices=[], seed=train_seed)
+        split = SplitIndices(train_indices=list(range(n)), val_indices=[])
     else:
         split = stratified_split(idx, val_fraction, seed=train_seed)
     pre = fit_standardizer(
         Tensor(np.ascontiguousarray(x[split.train_indices])), label_map=label_map
     )
     x3 = apply_standardizer(pre, Tensor(x))
-    y = one_hot_rows(idx, len(label_map))
+    y = np.array(idx)
     return x, labels, label_map, idx, split, pre, x3, y
 
 
@@ -83,6 +87,15 @@ def test_feature_count_too_small_rejected():
     assert flatten_length(ArchitectureConfig(feature_count=10, class_count=2)) == 64
 
 
+@pytest.mark.parametrize("field", ["conv1_filters", "conv2_filters",
+                                   "kernel_size", "pool_size", "dense_units"])
+def test_zero_size_layers_rejected(field):
+    with pytest.raises(ConfigurationError, match=f"{field} must be >= 1, got 0"):
+        ArchitectureConfig(feature_count=16, class_count=3, **{field: 0})
+    with pytest.raises(ConfigurationError, match=f"{field} must be >= 1, got -2"):
+        ArchitectureConfig(feature_count=16, class_count=3, **{field: -2})
+
+
 def test_build_model_deterministic_per_seed():
     arch = ArchitectureConfig(feature_count=12, class_count=3)
     a = build_model(arch, np.random.default_rng(123))
@@ -101,10 +114,9 @@ def test_end_to_end_gradient_matches_finite_differences():
         rng = np.random.default_rng(9000 + seed)
         model = build_model(ArchitectureConfig(12, 3), rng)
         x = rng.standard_normal((12, 1))
-        y = np.zeros(3)
-        y[rng.integers(0, 3)] = 1.0
+        y = rng.integers(0, 3)
         logits, activations = forward(model, x[None])  # the N=1 batch
-        lv = softmax_ce_grad(logits, y[None])
+        lv = softmax_ce_grad(logits, np.array([y]))
         grads = backward(model, activations, lv.grad)
         loss = float(lv.loss[0])
         params = {name: p.copy() for name, p in model.params.items()}
@@ -141,11 +153,40 @@ def test_train_validates_inputs():
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
     rng = np.random.default_rng(1)
     x3 = Tensor(rng.standard_normal((4, 16, 1)))
-    with pytest.raises(DimensionError):
-        train(model, x3, Tensor(np.eye(4)), cfg)  # 4 label columns, model has 3
+    with pytest.raises(DimensionError):  # no trailing channel axis
+        train(model, Tensor(x3.array[:, :, 0]), np.array([0, 1, 2, 0]), cfg,
+              SplitIndices(train_indices=[0, 1, 2], val_indices=[3]))
     with pytest.raises(ValidationError):
-        train(model, x3, Tensor(np.eye(4)[:, :3]), cfg,
-              split=SplitIndices(train_indices=[], val_indices=[0], seed=0))
+        train(model, x3, np.array([0, 1, 2, 0]), cfg,
+              split=SplitIndices(train_indices=[], val_indices=[0]))
+
+
+@pytest.mark.parametrize("labels", [
+    np.eye(3, dtype=int)[[0, 1, 2, 0]],  # one-hot rows
+    np.array([0, 1, 2]),  # N - 1 labels
+    np.array([0.0, 1.0, 2.0, 0.0]),  # float labels
+    np.array([0, 1, -1, 0]),
+    np.array([0, 1, 3, 0]),  # index == class_count
+], ids=["one-hot", "short", "float", "minus-one", "class-count"])
+def test_train_rejects_labels_before_any_batch(monkeypatch, labels):
+    import flowsentinel.trainer as trainer_module
+
+    def no_batch(*args):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(trainer_module, "forward", no_batch)
+    model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
+    x3 = Tensor(np.random.default_rng(1).standard_normal((4, 16, 1)))
+    split = SplitIndices(train_indices=[0, 1, 2], val_indices=[3])
+    with pytest.raises(FlowSentinelError):
+        train(model, x3, labels, TrainConfig(epochs=1), split)
+
+
+def test_best_epoch_is_last_without_validation():
+    _, _, _, _, split, _, x3, y = _prepared_blobs(4, seed=5)
+    model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
+    _, hist = train(model, x3, y, TrainConfig(epochs=3), split)
+    assert hist.best_epoch == hist.epochs_run() - 1 == 2
 
 
 def test_memorization_overfit_one_batch():
@@ -155,8 +196,8 @@ def test_memorization_overfit_one_batch():
     label_map, idx = encode_labels(labels)
     pre = fit_standardizer(Tensor(x), label_map=label_map)
     x3 = apply_standardizer(pre, Tensor(x))
-    y = one_hot_rows(idx, 3)
-    split = SplitIndices(train_indices=list(range(32)), val_indices=[], seed=5)
+    y = np.array(idx)
+    split = SplitIndices(train_indices=list(range(32)), val_indices=[])
     cfg = TrainConfig(epochs=300, batch_size=32, lr=0.01, seed=5)
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(5))
     model, hist = train(model, x3, y, cfg, split=split)
@@ -201,14 +242,14 @@ def test_early_stopping_stops_and_restores_best():
         Tensor(np.ascontiguousarray(x[split.train_indices])), label_map=label_map
     )
     x3 = apply_standardizer(pre, Tensor(x))
-    y = one_hot_rows(idx, 3)
+    y = np.array(idx)
     cfg = TrainConfig(epochs=60, lr=0.01, seed=1, early_stop_patience=3,
                       val_fraction=0.25)
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(1))
     model, hist = train(model, x3, y, cfg, split=split)
     assert hist.epochs_run() < 60
     # restored parameters evaluate to the recorded best validation loss
-    val_loss, _ = _eval_split(model, x3.array, y.array, split.val_indices)
+    val_loss, _ = _eval_split(model, x3.array, y, split.val_indices)
     best = min(hist.val_loss)
     assert math.isclose(val_loss, best, rel_tol=0, abs_tol=1e-12)
     assert hist.val_loss[hist.best_epoch] == best
@@ -232,7 +273,7 @@ def test_early_stopping_requires_validation_samples():
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
     with pytest.raises(ValidationError):
         train(model, x3, y, cfg,
-              split=SplitIndices(train_indices=list(range(12)), val_indices=[], seed=0))
+              split=SplitIndices(train_indices=list(range(12)), val_indices=[]))
 
 
 # --- predict / evaluate -------------------------------------------------------
@@ -244,8 +285,8 @@ def memorizer():
     label_map, idx = encode_labels(labels)
     pre = fit_standardizer(Tensor(x), label_map=label_map)
     x3 = apply_standardizer(pre, Tensor(x))
-    y = one_hot_rows(idx, 3)
-    split = SplitIndices(train_indices=list(range(32)), val_indices=[], seed=5)
+    y = np.array(idx)
+    split = SplitIndices(train_indices=list(range(32)), val_indices=[])
     cfg = TrainConfig(epochs=120, batch_size=32, lr=0.01, seed=5)
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(5))
     model, _ = train(model, x3, y, cfg, split=split)
