@@ -174,8 +174,6 @@ def _cmd_train(args) -> None:
     model, history = train(model, x3, class_idx, cfg, split, on_epoch=on_epoch)
     last = history.epochs_run() - 1
     metadata = ModelMetadata(
-        task=args.task,
-        seed=args.seed,
         label_column=args.label_column,
         train_config=cfg,
         source=args.data,
@@ -206,7 +204,7 @@ def _cmd_train(args) -> None:
 def _cmd_evaluate(args) -> None:
     model, preproc, taxonomy, metadata, feature_names = load_model(args.model)
     ds = load_csv(args.data, metadata.label_column, feature_names)
-    report = evaluate(model, preproc, ds, taxonomy, metadata.task)
+    report = evaluate(model, preproc, ds, taxonomy)
     if args.format == "structured":
         text = json.dumps(report.to_dict(), indent=2)
     else:
@@ -244,8 +242,8 @@ def _cmd_predict(args) -> None:
 def _cmd_inspect(args) -> None:
     model, preproc, taxonomy, metadata, feature_names = load_model(args.model)
     arch = model.arch
-    print(f"task: {metadata.task}")
-    print(f"seed: {metadata.seed}")
+    print(f"task: {preproc.task}")
+    print(f"seed: {metadata.train_config.seed}")
     print(f"source: {metadata.source}")
     print(
         f"architecture: conv({arch.conv1_filters},k{arch.kernel_size}) -> relu "

@@ -91,6 +91,10 @@ class Taxonomy:
                 raise TaxonomyError(
                     f"unknown rule kind {rule.kind!r}; expected one of {_RULE_KINDS}"
                 )
+            if not (isinstance(rule.pattern, str) and isinstance(rule.category, str)):
+                raise TaxonomyError(f"rule pattern and category must be strings: {rule}")
+        if not isinstance(self.binary_positive, str):
+            raise TaxonomyError("binary_positive must be a string")
 
     def category_of(self, label: str) -> str | None:
         for rule in self.rules:

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import TASKS
 from .errors import ValidationError
 from .tensor import Tensor
 
@@ -25,21 +26,20 @@ DEGENERATE_STD = 1e-12
 class PreprocState:
     """Everything needed to replay preprocessing at predict time."""
 
-    means: np.ndarray  # (feature_count,)
-    stds: np.ndarray  # (feature_count,), every entry > 0
-    degenerate: np.ndarray  # (feature_count,) bool, True where std was ~0
+    means: np.ndarray  # (F,); its length is the feature count
+    stds: np.ndarray  # (F,), every entry > 0
+    degenerate: np.ndarray  # (F,) bool, True where std was ~0
     label_map: list[str]  # index = class id
-    feature_count: int
-    task: str = "multiclass"
+    task: str = "multiclass"  # one of TASKS
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
         self.stds = np.asarray(self.stds, dtype=np.float64)
         self.degenerate = np.asarray(self.degenerate, dtype=bool)
-        if not (
-            len(self.means) == len(self.stds) == len(self.degenerate) == self.feature_count
-        ):
+        if not len(self.means) == len(self.stds) == len(self.degenerate):
             raise ValidationError("preprocessing state arrays disagree on feature count")
+        if self.task not in TASKS:
+            raise ValidationError(f"unknown task {self.task!r}; expected one of {TASKS}")
         bad = ~(np.isfinite(self.means) & np.isfinite(self.stds))
         if bad.any():
             raise ValidationError(
@@ -88,7 +88,6 @@ def fit_standardizer(
         stds=stds,
         degenerate=degenerate,
         label_map=list(label_map),
-        feature_count=features.shape[1],
         task=task,
     )
 
@@ -97,10 +96,10 @@ def apply_standardizer(state: PreprocState, features: Tensor) -> Tensor:
     """(x - mean) / std per feature, with a trailing unit channel axis."""
     if features.rank != 2:
         raise ValidationError(f"features must be rank 2, got {features.shape}")
-    if features.shape[1] != state.feature_count:
+    if features.shape[1] != len(state.means):
         raise ValidationError(
             f"feature count mismatch: standardizer expects "
-            f"{state.feature_count}, got {features.shape[1]}"
+            f"{len(state.means)}, got {features.shape[1]}"
         )
     z = (features.array - state.means) / state.stds
     if not np.isfinite(z).all():

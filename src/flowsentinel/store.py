@@ -22,12 +22,12 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dataset import Taxonomy, TaxonomyRule
-from .errors import ModelStoreError
+from .errors import ModelStoreError, ValidationError
 from .pipeline import PreprocState
 from .trainer import ArchitectureConfig, ModelParams, TrainConfig, param_shapes
 
@@ -38,14 +38,40 @@ MAX_HEADER_BYTES = 16 * 1024 * 1024
 
 @dataclass
 class ModelMetadata:
-    task: str
-    seed: int
+    """The model's task is PreprocState.task and its seed train_config.seed;
+    the file's metadata block repeats both, and the reader checks them."""
+
     label_column: str
     train_config: TrainConfig
-    source: str = ""
-    epochs_run: int = 0
-    best_epoch: int = 0
-    final_metrics: dict = field(default_factory=dict)
+    source: str
+    epochs_run: int
+    best_epoch: int
+    final_metrics: dict[str, float | None]
+
+    def __post_init__(self):
+        if not (isinstance(self.label_column, str) and isinstance(self.source, str)):
+            raise ValidationError("label_column and source must be strings")
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
+                   for n in (self.epochs_run, self.best_epoch)):
+            raise ValidationError("epochs_run and best_epoch must be integers >= 0")
+        if not isinstance(self.final_metrics, dict) or not all(
+            isinstance(k, str) and (v is None or isinstance(v, (int, float))
+                                    and not isinstance(v, bool))
+            for k, v in self.final_metrics.items()
+        ):
+            raise ValidationError("final_metrics must map names to numbers or null")
+
+
+def _directory(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
+    """The tensor directory for an ordered name -> shape map: each tensor's
+    float64 values follow the previous tensor's, in map order."""
+    entries, offset = [], 0
+    for name, shape in shapes.items():
+        size = math.prod(shape) * 8
+        entries.append({"name": name, "shape": list(shape), "offset": offset,
+                        "byte_length": size})
+        offset += size
+    return entries
 
 
 def _header_dict(
@@ -55,19 +81,15 @@ def _header_dict(
     metadata: ModelMetadata,
     feature_names: list[str],
 ) -> dict:
-    tensors = []
-    offset = 0
-    for name, values in model.params.items():
-        byte_length = values.size * 8
-        tensors.append(
-            {
-                "name": name,
-                "shape": list(values.shape),
-                "offset": offset,
-                "byte_length": byte_length,
-            }
-        )
-        offset += byte_length
+    meta = asdict(metadata)
+    # training always reshuffles each epoch; format v1 keeps the key
+    meta["train_config"]["shuffle_each_epoch"] = True
+    # keep the header strict JSON: NaN metrics (empty validation split) are
+    # stored as null
+    meta["final_metrics"] = {
+        k: (v if not isinstance(v, float) or math.isfinite(v) else None)
+        for k, v in metadata.final_metrics.items()
+    }
     return {
         "format_version": FORMAT_VERSION,
         "architecture": asdict(model.arch),
@@ -83,22 +105,8 @@ def _header_dict(
             "rules": [[r.kind, r.pattern, r.category] for r in taxonomy.rules],
             "binary_positive": taxonomy.binary_positive,
         },
-        "metadata": {
-            "task": metadata.task,
-            "seed": metadata.seed,
-            "label_column": metadata.label_column,
-            "train_config": asdict(metadata.train_config),
-            "source": metadata.source,
-            "epochs_run": metadata.epochs_run,
-            "best_epoch": metadata.best_epoch,
-            # keep the header strict JSON: NaN metrics (empty validation
-            # split) are stored as null
-            "final_metrics": {
-                k: (v if not isinstance(v, float) or math.isfinite(v) else None)
-                for k, v in metadata.final_metrics.items()
-            },
-        },
-        "tensors": tensors,
+        "metadata": {"task": preproc.task, "seed": metadata.train_config.seed, **meta},
+        "tensors": _directory({name: v.shape for name, v in model.params.items()}),
     }
 
 
@@ -115,7 +123,7 @@ def save_model(
     The parameter table gets the reader's checks first; a table that
     load_model would refuse raises ModelStoreError and writes nothing.
     """
-    _check_table(path, model.arch, list(model.params.items()))
+    _check_table(path, model.arch, model.params)
     header = _header_dict(model, preproc, taxonomy, metadata, feature_names)
     header_bytes = json.dumps(
         header, separators=(",", ":"), ensure_ascii=False, allow_nan=False
@@ -181,46 +189,31 @@ def load_model(
             f"{path}: unknown format version {version!r}, "
             f"this build reads version {FORMAT_VERSION}"
         )
-    payload = blob[12 + header_len :]
+    payload = memoryview(blob)[12 + header_len :]  # a view, not a copy
     try:
         arch = ArchitectureConfig(**header["architecture"])
-        entries = header["tensors"]
-        expected_total = 0
-        for entry in entries:
-            if entry["offset"] != expected_total:
-                raise ModelStoreError(
-                    f"{path}: tensor {entry['name']} at offset "
-                    f"{entry['offset']}, expected {expected_total}"
-                )
-            if entry["byte_length"] != math.prod(entry["shape"]) * 8 or any(
-                d < 0 for d in entry["shape"]
-            ):
-                raise ModelStoreError(
-                    f"{path}: tensor {entry['name']} declares "
-                    f"{entry['byte_length']} bytes for shape {entry['shape']}"
-                )
-            expected_total += entry["byte_length"]
+        entries = _check_directory(path, arch, header["tensors"])
+        expected_total = sum(entry["byte_length"] for entry in entries)
         if len(payload) != expected_total:
             raise ModelStoreError(
                 f"{path}: payload truncated, expected {expected_total} bytes, "
                 f"found {len(payload)} (short by {expected_total - len(payload)})"
             )
-        tensors = [
-            (entry["name"], np.frombuffer(
-                payload, dtype="<f8", count=entry["byte_length"] // 8,
-                offset=entry["offset"],
-            ).astype(np.float64).reshape(entry["shape"]))
-            for entry in entries
-        ]
-        _check_table(path, arch, tensors)
-        model = ModelParams(arch=arch, params=dict(tensors))
+        flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        pieces = np.split(flat, [entry["offset"] // 8 for entry in entries[1:]])
+        params = {e["name"]: v.reshape(e["shape"]) for e, v in zip(entries, pieces)}
+        _check_finite(path, params)
+        model = ModelParams(arch=arch, params=params)
+        for key in ("class_names", "feature_names"):
+            if not isinstance(header[key], list) or not all(
+                    isinstance(name, str) for name in header[key]):
+                raise ModelStoreError(f"{path}: {key} must be a list of strings")
         pre = header["preprocessing"]
         preproc = PreprocState(
             means=np.array(pre["means"], dtype=np.float64),
             stds=np.array(pre["stds"], dtype=np.float64),
             degenerate=np.array(pre["degenerate"], dtype=bool),
             label_map=list(header["class_names"]),
-            feature_count=len(pre["means"]),
             task=pre["task"],
         )
         tax = header["taxonomy"]
@@ -228,17 +221,21 @@ def load_model(
             rules=[TaxonomyRule(k, p, c) for k, p, c in tax["rules"]],
             binary_positive=tax["binary_positive"],
         )
-        meta = header["metadata"]
-        metadata = ModelMetadata(
-            task=meta["task"],
-            seed=meta["seed"],
-            label_column=meta["label_column"],
-            train_config=TrainConfig(**meta["train_config"]),
-            source=meta["source"],
-            epochs_run=meta["epochs_run"],
-            best_epoch=meta["best_epoch"],
-            final_metrics=meta["final_metrics"],
-        )
+        meta = dict(header["metadata"])
+        task, seed = meta.pop("task"), meta.pop("seed")
+        config = dict(meta.pop("train_config"))
+        if config.pop("shuffle_each_epoch") is not True:
+            raise ModelStoreError(
+                f"{path}: metadata.train_config.shuffle_each_epoch must be true"
+            )
+        metadata = ModelMetadata(train_config=TrainConfig(**config), **meta)
+        for key, copy, owner, value in (
+            ("task", task, "preprocessing.task", preproc.task),
+            ("seed", seed, "train_config.seed", metadata.train_config.seed),
+        ):
+            if copy != value:
+                raise ModelStoreError(f"{path}: metadata.{key} {copy!r} "
+                                      f"disagrees with {owner} {value!r}")
         feature_names = list(header["feature_names"])
         if len(feature_names) != arch.feature_count:
             raise ModelStoreError(
@@ -247,9 +244,9 @@ def load_model(
             )
         if len(set(feature_names)) != len(feature_names):
             raise ModelStoreError(f"{path}: duplicate feature names")
-        if preproc.feature_count != arch.feature_count:
+        if len(preproc.means) != arch.feature_count:
             raise ModelStoreError(
-                f"{path}: standardizer covers {preproc.feature_count} "
+                f"{path}: standardizer covers {len(preproc.means)} "
                 f"features, architecture expects {arch.feature_count}"
             )
         if len(preproc.label_map) != arch.class_count:
@@ -264,25 +261,39 @@ def load_model(
     return model, preproc, taxonomy, metadata, feature_names
 
 
-def _check_table(
-    path: str, arch: ArchitectureConfig, tensors: list[tuple[str, np.ndarray]]
-) -> None:
-    """The (name, values) pairs of a parameter table, and so the file's
-    tensor directory, must be param_shapes(arch): the same names, in the
-    same order, with the same shapes; and every value must be finite."""
-    expected = list(param_shapes(arch).items())
-    found = [(name, values.shape) for name, values in tensors]
-    if len(found) != len(expected):
+def _check_directory(
+    path: str, arch: ArchitectureConfig, entries: list[dict]
+) -> list[dict]:
+    """A tensor directory must be _directory(param_shapes(arch)), entry by
+    entry: the same names in the same order, with the same shapes, offsets
+    and byte lengths, and no other keys. Returns that expected directory."""
+    expected = _directory(param_shapes(arch))
+    if len(entries) != len(expected):
         raise ModelStoreError(
-            f"{path}: tensor directory has {len(found)} entries, the "
+            f"{path}: tensor directory has {len(entries)} entries, the "
             f"architecture needs {len(expected)}"
         )
-    for i, (have, need) in enumerate(zip(found, expected)):
+    for i, (have, need) in enumerate(zip(entries, expected), 1):
         if have != need:
             raise ModelStoreError(
-                f"{path}: tensor directory entry {i + 1} is {have[0]} {have[1]}, "
-                f"the architecture needs {need[0]} {need[1]}"
+                f"{path}: tensor directory entry {i} declares {json.dumps(have)}, "
+                f"the architecture needs {json.dumps(need)}"
             )
-    for name, values in tensors:
+    return expected
+
+
+def _check_finite(path: str, params: dict[str, np.ndarray]) -> None:
+    for name, values in params.items():
         if not np.isfinite(values).all():
             raise ModelStoreError(f"{path}: tensor {name} holds a non-finite value")
+
+
+def _check_table(
+    path: str, arch: ArchitectureConfig, params: dict[str, np.ndarray]
+) -> None:
+    """The writer's check: a parameter table must lay out as the
+    architecture's tensor directory, and every value must be finite."""
+    _check_directory(
+        path, arch, _directory({name: v.shape for name, v in params.items()})
+    )
+    _check_finite(path, params)

@@ -109,7 +109,6 @@ class TrainConfig:
     val_fraction: float = 0.2
     seed: int = 42
     early_stop_patience: int = 0  # 0 disables early stopping
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -306,10 +305,7 @@ def train(
     stale = 0
 
     for epoch in range(cfg.epochs):
-        if cfg.shuffle_each_epoch:
-            order = [train_idx[j] for j in rng.permutation(len(train_idx))]
-        else:
-            order = train_idx
+        order = [train_idx[j] for j in rng.permutation(len(train_idx))]
         epoch_loss = 0.0
         epoch_correct = 0
         for b, start in enumerate(range(0, len(order), cfg.batch_size), 1):
@@ -387,14 +383,9 @@ def evaluate(
     preproc: PreprocState,
     dataset: Dataset,
     taxonomy: Taxonomy,
-    task: str,
 ) -> EvalReport:
-    """Map labels for the task, predict, and build the metrics report."""
-    if task != preproc.task:
-        raise ConfigurationError(
-            f"model was trained for task {preproc.task!r}, cannot evaluate "
-            f"as {task!r}"
-        )
+    """Map labels for the model's task, predict, and build the metrics
+    report."""
     if len(preproc.label_map) != model.arch.class_count:
         raise ConfigurationError(
             f"label map has {len(preproc.label_map)} classes but the model "
@@ -402,7 +393,7 @@ def evaluate(
         )
     if dataset.sample_count == 0:
         raise ValidationError("evaluation set is empty")
-    mapped = map_labels(dataset.raw_labels, taxonomy, task)
+    mapped = map_labels(dataset.raw_labels, taxonomy, preproc.task)
     index = {name: i for i, name in enumerate(preproc.label_map)}
     unknown = sorted({m for m in mapped if m not in index})
     if unknown:

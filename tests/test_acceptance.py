@@ -325,7 +325,7 @@ def test_criterion_10_optional_ciciomt_reproduction(tmp_path):
                     "--out", binary_model]) == 0
         model, pre, tax, meta, names = load_model(binary_model)
         ds = load_csv(test_csv, meta.label_column, feature_names=names)
-        report = evaluate(model, pre, ds, tax, "binary")
+        report = evaluate(model, pre, ds, tax)
         assert report.accuracy >= 0.98
 
         multi_model = str(tmp_path / "multi.fsnt")
@@ -333,5 +333,5 @@ def test_criterion_10_optional_ciciomt_reproduction(tmp_path):
                     "--out", multi_model]) == 0
         model, pre, tax, meta, names = load_model(multi_model)
         ds = load_csv(test_csv, meta.label_column, feature_names=names)
-        report = evaluate(model, pre, ds, tax, "multiclass")
+        report = evaluate(model, pre, ds, tax)
         assert report.macro.f1 >= 0.98 - 0.05

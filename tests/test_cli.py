@@ -176,6 +176,45 @@ def test_corrupt_model_is_exit_3(trained_model, tmp_path, capsys, recwarn,
     assert reason in captured.err
 
 
+def _both_tasks(header, task):
+    header["preprocessing"]["task"] = header["metadata"]["task"] = task
+
+
+HEADER_EDITS = {
+    "best_epoch-string": lambda h: h["metadata"].update(best_epoch="3"),
+    "final_metrics-list": lambda h: h["metadata"].update(final_metrics=[1, 2]),
+    "feature_name-int": lambda h: h["feature_names"].__setitem__(0, 7),
+    "class_name-int": lambda h: h["class_names"].__setitem__(0, 7),
+    "pattern-int": lambda h: h["taxonomy"]["rules"][1].__setitem__(1, 5),
+    "task-bogus": lambda h: _both_tasks(h, "bogus"),
+    "task-disagrees": lambda h: h["metadata"].update(task="binary"),
+    "seed-disagrees": lambda h: h["metadata"].update(seed=h["metadata"]["seed"] + 1),
+    "metadata-unknown-key": lambda h: h["metadata"].update(note="hand-edited"),
+    "shuffle-false": lambda h: h["metadata"]["train_config"].update(
+        shuffle_each_epoch=False),
+}
+
+
+@pytest.mark.parametrize("command", ["inspect", "predict", "evaluate"])
+@pytest.mark.parametrize("edit", HEADER_EDITS)
+def test_bad_header_value_is_exit_3(trained_model, tmp_path, capsys, recwarn,
+                                    edit, command):
+    data, good = trained_model
+    blob = Path(good).read_bytes()
+    header_len = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+    HEADER_EDITS[edit](header)
+    new_header = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    bad = tmp_path / "edited.fsnt"
+    bad.write_bytes(blob[:8] + len(new_header).to_bytes(4, "little") + new_header
+                    + blob[12 + header_len :])
+    argv = [command, "--model", str(bad)]
+    assert run(argv + ([] if command == "inspect" else ["--data", data])) == 3
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert f"error: {bad}: " in captured.err
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_rows_with_wrong_field_count_are_data_errors(trained_model, tmp_path,
                                                      capsys, recwarn, command):
@@ -446,7 +485,7 @@ def test_all_three_tasks_over_full_taxonomy(tmp_path, capsys):
         model, pre, _, meta, _ = load_model(out)
         assert model.arch.class_count == classes
         assert len(pre.label_map) == classes
-        assert meta.task == task
+        assert pre.task == task
         assert run(["evaluate", "--model", out, "--data", str(data)]) == 0
     report = capsys.readouterr().out
     assert "Spoofing" in report  # category names survive into the last report

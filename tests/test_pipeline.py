@@ -97,14 +97,13 @@ def test_standardizer_state_must_be_finite():
     for bad in ({"means": [0.0, np.nan]}, {"stds": [1.0, np.inf]}):
         fields = {"means": [0.0, 0.0], "stds": [1.0, 1.0], **bad}
         with pytest.raises(ValidationError, match="not finite"):
-            PreprocState(degenerate=[False, False], label_map=[],
-                         feature_count=2, **fields)
+            PreprocState(degenerate=[False, False], label_map=[], **fields)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_apply_standardizer_rejects_non_finite_zscores():
     state = PreprocState(means=[0.0, 0.0], stds=[1.0, 1e-300],
-                         degenerate=[False, False], label_map=[], feature_count=2)
+                         degenerate=[False, False], label_map=[])
     assert apply_standardizer(state, Tensor([[1.0, 1e-10]])).shape == (1, 2, 1)
     with pytest.raises(ValidationError, match="sample 2, feature 2"):
         apply_standardizer(state, Tensor([[1.0, 1e-10], [1.0, 1e10]]))

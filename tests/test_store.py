@@ -15,7 +15,9 @@ from flowsentinel.store import (
     save_model,
 )
 from flowsentinel.tensor import Tensor
-from flowsentinel.trainer import ArchitectureConfig, TrainConfig, build_model, predict
+from flowsentinel.trainer import (
+    ArchitectureConfig, TrainConfig, build_model, param_shapes, predict,
+)
 
 
 @pytest.fixture
@@ -28,8 +30,6 @@ def saved(tmp_path):
         task="binary",
     )
     metadata = ModelMetadata(
-        task="binary",
-        seed=42,
         label_column="label",
         train_config=TrainConfig(epochs=3, seed=42),
         source="wherever.csv",
@@ -56,7 +56,7 @@ def test_round_trip_preserves_everything(saved):
     assert pre2.task == "binary"
     assert tax2.rules == default_taxonomy().rules
     assert meta2.train_config == metadata.train_config  # exact TrainConfig echo
-    assert meta2.task == "binary" and meta2.seed == 42
+    assert pre2.task == "binary" and meta2.train_config.seed == 42
     assert meta2.final_metrics == {"val_acc": 0.5}
     assert names2 == names
     assert loaded.arch == model.arch
@@ -138,6 +138,58 @@ def test_mismatched_tensor_declaration_rejected(saved, tmp_path):
         )
         with pytest.raises(ModelStoreError, match="declares"):
             load_model(str(bad))
+
+
+def _header_of(path):
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[8:12], "little")
+    return json.loads(blob[12 : 12 + header_len].decode("utf-8")), blob[12 + header_len :]
+
+
+def _write_with_header(path, header, payload):
+    new_header = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(MAGIC + len(new_header).to_bytes(4, "little") + new_header
+                     + payload)
+
+
+@pytest.mark.parametrize("features,classes", [(12, 2), (16, 3), (45, 19)])
+def test_saved_directory_is_the_architecture_layout(tmp_path, features, classes):
+    from flowsentinel.store import _directory
+
+    rng = np.random.default_rng(features)
+    arch = ArchitectureConfig(feature_count=features, class_count=classes)
+    pre = fit_standardizer(Tensor(rng.standard_normal((10, features))),
+                           label_map=[f"c{i}" for i in range(classes)])
+    metadata = ModelMetadata(label_column="label", train_config=TrainConfig(),
+                             source="", epochs_run=1, best_epoch=0,
+                             final_metrics={})
+    path = tmp_path / "model.fsnt"
+    save_model(str(path), build_model(arch, rng), pre, default_taxonomy(),
+               metadata, [f"f{i}" for i in range(features)])
+    header, payload = _header_of(path)
+    assert header["tensors"] == _directory(param_shapes(arch))
+    last = header["tensors"][-1]
+    assert len(payload) == last["offset"] + last["byte_length"]
+
+
+def test_moved_directory_offset_rejected(saved, tmp_path):
+    path, *_ = saved
+    header, payload = _header_of(path)
+    header["tensors"][2]["offset"] += 8
+    bad = tmp_path / "moved.fsnt"
+    _write_with_header(bad, header, payload)
+    with pytest.raises(ModelStoreError, match="tensor directory entry 3 declares"):
+        load_model(str(bad))
+
+
+def test_directory_entry_with_extra_key_rejected(saved, tmp_path):
+    path, *_ = saved
+    header, payload = _header_of(path)
+    header["tensors"][5]["dtype"] = "<f8"
+    bad = tmp_path / "extra-key.fsnt"
+    _write_with_header(bad, header, payload)
+    with pytest.raises(ModelStoreError, match="tensor directory entry 6 declares"):
+        load_model(str(bad))
 
 
 def test_oversized_header_rejected(tmp_path):

@@ -334,17 +334,9 @@ def test_evaluate_memorized_training_set_is_perfect(memorizer):
         source="mem",
         feature_names=[f"f{i}" for i in range(16)],
     )
-    report = evaluate(model, pre, ds, blob_taxonomy(), "multiclass")
+    report = evaluate(model, pre, ds, blob_taxonomy())
     assert report.accuracy == 1.0
     assert np.array_equal(report.confusion, np.diag(np.bincount(idx, minlength=3)))
-
-
-def test_evaluate_task_mismatch_is_configuration_error(memorizer):
-    model, pre, raw, labels, *_ = memorizer
-    ds = Dataset(features=raw, raw_labels=labels, source="mem",
-                 feature_names=[f"f{i}" for i in range(16)])
-    with pytest.raises(ConfigurationError):
-        evaluate(model, pre, ds, blob_taxonomy(), "binary")
 
 
 def test_evaluate_empty_set_rejected(memorizer):
@@ -352,7 +344,7 @@ def test_evaluate_empty_set_rejected(memorizer):
     ds = Dataset(features=Tensor(np.empty((0, 16))), raw_labels=[], source="mem",
                  feature_names=[f"f{i}" for i in range(16)])
     with pytest.raises(ValidationError):
-        evaluate(model, pre, ds, blob_taxonomy(), "multiclass")
+        evaluate(model, pre, ds, blob_taxonomy())
 
 
 def test_evaluate_unknown_class_rejected(memorizer):
@@ -360,4 +352,4 @@ def test_evaluate_unknown_class_rejected(memorizer):
     ds = Dataset(features=Tensor(raw.array[:2]), raw_labels=["classZ", "class0"],
                  source="mem", feature_names=[f"f{i}" for i in range(16)])
     with pytest.raises(ValidationError, match="classZ"):
-        evaluate(model, pre, ds, blob_taxonomy(), "multiclass")
+        evaluate(model, pre, ds, blob_taxonomy())
