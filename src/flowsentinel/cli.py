@@ -172,19 +172,17 @@ def _cmd_train(args) -> None:
         )
 
     model, history = train(model, x3, class_idx, cfg, split, on_epoch=on_epoch)
-    last = history.epochs_run() - 1
+    # report the epoch whose parameters the model holds
+    held = history.best_epoch if cfg.early_stop_patience > 0 else -1
+    final = {key: getattr(history, key)[held]
+             for key in ("train_loss", "train_acc", "val_loss", "val_acc")}
     metadata = ModelMetadata(
         label_column=args.label_column,
         train_config=cfg,
         source=args.data,
         epochs_run=history.epochs_run(),
         best_epoch=history.best_epoch,
-        final_metrics={
-            "train_loss": history.train_loss[last],
-            "train_acc": history.train_acc[last],
-            "val_loss": history.val_loss[last],
-            "val_acc": history.val_acc[last],
-        },
+        final_metrics=final,
     )
     save_model(args.out, model, preproc, taxonomy, metadata, ds.feature_names)
     print(
@@ -193,10 +191,10 @@ def _cmd_train(args) -> None:
         f"epochs_run={history.epochs_run()} best_epoch={history.best_epoch + 1}"
     )
     print(
-        f"final train_loss={history.train_loss[last]:.6f} "
-        f"train_acc={history.train_acc[last]:.4f} "
-        f"val_loss={history.val_loss[last]:.6f} "
-        f"val_acc={history.val_acc[last]:.4f}"
+        f"final train_loss={final['train_loss']:.6f} "
+        f"train_acc={final['train_acc']:.4f} "
+        f"val_loss={final['val_loss']:.6f} "
+        f"val_acc={final['val_acc']:.4f}"
     )
     print(f"model written to {args.out}")
 

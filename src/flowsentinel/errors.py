@@ -31,7 +31,3 @@ class SchemaError(DatasetError):
 
 class ModelStoreError(FlowSentinelError):
     """A model file cannot be written, read, or parsed."""
-
-
-class InternalError(FlowSentinelError):
-    """An internal invariant was broken; indicates a bug, not bad input."""

@@ -9,6 +9,11 @@ flatten inputs are (N, length, channels), dense and softmax inputs
 on rows (length, channels); a batch is pooled as the rows of all its samples,
 each trimmed to whole windows, so no window spans two samples.
 
+The kernels check no shapes: callers guarantee them. `trainer.forward` and
+`trainer.backward` are the only callers, and every shape they pass follows
+from `param_shapes(arch)` and `shape_chain(arch)`; `train` and
+`apply_standardizer` check the input at the public boundary.
+
 Every sum runs in a fixed order, so results are bit-equal to naive loops and
 do not depend on N or on a sample's place in its batch:
 - conv forward: acc = bias, then acc += w[f,c,k] * x[t+k,c] for each
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, InternalError
 from .tensor import fold_sum
 
 
@@ -34,37 +38,16 @@ from .tensor import fold_sum
 class Conv1DLayer:
     weights: np.ndarray  # (filters, in_channels, kernel_size)
     bias: np.ndarray  # (filters,)
-    in_channels: int
-    filters: int
-    kernel_size: int
 
-    def __post_init__(self):
-        expected = (self.filters, self.in_channels, self.kernel_size)
-        if self.weights.shape != expected:
-            raise DimensionError(
-                f"conv weights must be {expected}, got {self.weights.shape}"
-            )
-        if self.bias.shape != (self.filters,):
-            raise DimensionError(
-                f"conv bias must be ({self.filters},), got {self.bias.shape}"
-            )
+    filters = property(lambda self: self.weights.shape[0])
+    in_channels = property(lambda self: self.weights.shape[1])
+    kernel_size = property(lambda self: self.weights.shape[2])
 
 
 @dataclass
 class DenseLayer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-
-    def __post_init__(self):
-        if len(self.weights.shape) != 2:
-            raise DimensionError(
-                f"dense weights must be rank 2, got {self.weights.shape}"
-            )
-        if self.bias.shape != (self.weights.shape[0],):
-            raise DimensionError(
-                f"dense bias must be ({self.weights.shape[0]},), "
-                f"got {self.bias.shape}"
-            )
 
 
 @dataclass
@@ -82,24 +65,9 @@ class LayerGrads:
 _FOLD_BLOCK_BYTES = 1 << 19
 
 
-def _check_conv_input(layer: Conv1DLayer, x: np.ndarray) -> tuple[int, int]:
-    if x.ndim != 3 or x.shape[2] != layer.in_channels:
-        raise DimensionError(
-            f"conv input must be (samples, length, {layer.in_channels}), "
-            f"got {x.shape}"
-        )
-    length = x.shape[1]
-    if length < layer.kernel_size:
-        raise DimensionError(
-            f"input too short for kernel: length {length} < "
-            f"kernel_size {layer.kernel_size}"
-        )
-    return length, length - layer.kernel_size + 1
-
-
 def conv1d_forward(layer: Conv1DLayer, x: np.ndarray) -> np.ndarray:
     """out[n,t,f] = bias[f] + sum over ascending (c,k) of w[f,c,k]*x[n,t+k,c]."""
-    _, t_out = _check_conv_input(layer, x)
+    t_out = x.shape[1] - layer.kernel_size + 1
     w = np.ascontiguousarray(layer.weights.transpose(1, 2, 0))  # (c,k,f)
     out = np.empty((x.shape[0], t_out, layer.filters))
     out[...] = layer.bias
@@ -113,14 +81,10 @@ def conv1d_forward(layer: Conv1DLayer, x: np.ndarray) -> np.ndarray:
 def conv1d_backward(
     layer: Conv1DLayer, x: np.ndarray, grad_out: np.ndarray
 ) -> LayerGrads:
-    length, t_out = _check_conv_input(layer, x)
     w = layer.weights
-    n, k = x.shape[0], layer.kernel_size
-    if grad_out.shape != (n, t_out, layer.filters):
-        raise DimensionError(
-            f"grad_out must be ({n}, {t_out}, {layer.filters}), "
-            f"got {grad_out.shape}"
-        )
+    n, length, _ = x.shape
+    k = layer.kernel_size
+    t_out = length - k + 1
     windows = sliding_window_view(x, k, axis=1)  # (N, t_out, in_ch, k)
     # One einsum per sample, on that sample's contiguous slices: the same
     # call, with the same operand layout, as for a lone sample, so its sum
@@ -145,15 +109,7 @@ def maxpool1d_forward(x: np.ndarray, pool: int = 2) -> tuple[np.ndarray, np.ndar
     Stride equals the pool size; a trailing remainder shorter than the window
     is dropped. Ties go to the first (lowest) index.
     """
-    if x.ndim != 2:
-        raise DimensionError(f"pool input must be rank 2, got {x.shape}")
-    if pool < 1:
-        raise DimensionError(f"pool size must be >= 1, got {pool}")
     length, channels = x.shape
-    if length < pool:
-        raise DimensionError(
-            f"input too short to pool: length {length} < pool {pool}"
-        )
     t_out = length // pool
     v = x[: t_out * pool].reshape(t_out, pool, channels)
     pooled = v.max(axis=1)
@@ -167,20 +123,9 @@ def maxpool1d_backward(
     argmax_indices: np.ndarray, grad_out: np.ndarray, input_shape: tuple[int, int]
 ) -> np.ndarray:
     """Route each output gradient to its recorded argmax position."""
-    if grad_out.shape != argmax_indices.shape:
-        raise DimensionError(
-            f"grad_out {grad_out.shape} does not match argmax grid "
-            f"{argmax_indices.shape}"
-        )
     length, channels = input_shape
-    total = length * channels
-    idx = argmax_indices.reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= total):
-        raise InternalError(
-            f"argmax index outside input of shape {tuple(input_shape)}"
-        )
-    flat = np.zeros(total)
-    np.add.at(flat, idx, grad_out.reshape(-1))
+    flat = np.zeros(length * channels)
+    np.add.at(flat, argmax_indices.reshape(-1), grad_out.reshape(-1))
     return flat.reshape(length, channels)
 
 
@@ -190,20 +135,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Pass gradient where x > 0; the derivative at exactly 0 is 0."""
-    if x.shape != grad_out.shape:
-        raise DimensionError(
-            f"relu grad shape mismatch: {x.shape} vs {grad_out.shape}"
-        )
     return np.where(x > 0.0, grad_out, 0.0)
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     """y[n] = W x[n] + b, each row summed in ascending column order."""
     in_dim = layer.weights.shape[1]
-    if x.ndim != 2 or x.shape[1] != in_dim:
-        raise DimensionError(
-            f"dense input must be (samples, {in_dim}), got {x.shape}"
-        )
     xt = np.ascontiguousarray(x.T)[:, :, None]  # (in, N, 1)
     wt = np.ascontiguousarray(layer.weights.T)[:, None, :]  # (in, 1, out)
     out = xt[0] * wt[0]
@@ -223,19 +160,9 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
 def dense_backward(
     layer: DenseLayer, x: np.ndarray, grad_out: np.ndarray
 ) -> LayerGrads:
-    out_dim, in_dim = layer.weights.shape
-    n = x.shape[0]
-    if x.shape != (n, in_dim):
-        raise DimensionError(
-            f"dense input must be (samples, {in_dim}), got {x.shape}"
-        )
-    if grad_out.shape != (n, out_dim):
-        raise DimensionError(
-            f"dense grad_out must be ({n}, {out_dim}), got {grad_out.shape}"
-        )
     d_weights = np.multiply(grad_out[0, :, None], x[0])  # outer product
     term = np.empty_like(d_weights)
-    for i in range(1, n):
+    for i in range(1, x.shape[0]):
         d_weights += np.multiply(grad_out[i, :, None], x[i], out=term)
     d_bias = fold_sum(grad_out)
     d_input = np.einsum("ni,ij->nj", grad_out, layer.weights)
@@ -244,18 +171,10 @@ def dense_backward(
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Row-wise max-subtracted softmax; finite for any finite input."""
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise DimensionError(
-            f"softmax expects non-empty rows (samples, classes), got {x.shape}"
-        )
     e = np.exp(x - x.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
 def flatten(x: np.ndarray) -> np.ndarray:
     """Row-major flattening of each sample; the backward pass is a reshape."""
-    if x.ndim != 3:
-        raise DimensionError(
-            f"flatten expects (samples, length, channels), got {x.shape}"
-        )
     return x.reshape(x.shape[0], -1)

@@ -22,7 +22,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .trainer import ArchitectureConfig, ModelParams, TrainConfig, param_shapes
 MAGIC = b"FLOWSNT1"
 FORMAT_VERSION = 1
 MAX_HEADER_BYTES = 16 * 1024 * 1024
+HEADER_KEYS = ("format_version", "architecture", "class_names", "feature_names",
+               "preprocessing", "taxonomy", "metadata", "tensors")
 
 
 @dataclass
@@ -183,7 +185,7 @@ def load_model(
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelStoreError(f"{path}: unreadable header: {exc}") from exc
-    version = header.get("format_version")
+    version = header.get("format_version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise ModelStoreError(
             f"{path}: unknown format version {version!r}, "
@@ -191,7 +193,10 @@ def load_model(
         )
     payload = memoryview(blob)[12 + header_len :]  # a view, not a copy
     try:
-        arch = ArchitectureConfig(**header["architecture"])
+        _object(path, "the header", header, HEADER_KEYS)
+        arch = ArchitectureConfig(**_object(
+            path, "architecture", header["architecture"],
+            [f.name for f in fields(ArchitectureConfig)]))
         entries = _check_directory(path, arch, header["tensors"])
         expected_total = sum(entry["byte_length"] for entry in entries)
         if len(payload) != expected_total:
@@ -208,7 +213,8 @@ def load_model(
             if not isinstance(header[key], list) or not all(
                     isinstance(name, str) for name in header[key]):
                 raise ModelStoreError(f"{path}: {key} must be a list of strings")
-        pre = header["preprocessing"]
+        pre = _object(path, "preprocessing", header["preprocessing"],
+                      ("means", "stds", "degenerate", "task"))
         preproc = PreprocState(
             means=np.array(pre["means"], dtype=np.float64),
             stds=np.array(pre["stds"], dtype=np.float64),
@@ -216,14 +222,17 @@ def load_model(
             label_map=list(header["class_names"]),
             task=pre["task"],
         )
-        tax = header["taxonomy"]
+        tax = _object(path, "taxonomy", header["taxonomy"],
+                      ("rules", "binary_positive"))
         taxonomy = Taxonomy(
             rules=[TaxonomyRule(k, p, c) for k, p, c in tax["rules"]],
             binary_positive=tax["binary_positive"],
         )
         meta = dict(header["metadata"])
         task, seed = meta.pop("task"), meta.pop("seed")
-        config = dict(meta.pop("train_config"))
+        config = dict(_object(
+            path, "metadata.train_config", meta.pop("train_config"),
+            [f.name for f in fields(TrainConfig)] + ["shuffle_each_epoch"]))
         if config.pop("shuffle_each_epoch") is not True:
             raise ModelStoreError(
                 f"{path}: metadata.train_config.shuffle_each_epoch must be true"
@@ -259,6 +268,15 @@ def load_model(
     except Exception as exc:
         raise ModelStoreError(f"{path}: malformed header: {exc}") from exc
     return model, preproc, taxonomy, metadata, feature_names
+
+
+def _object(path: str, name: str, block, keys) -> dict:
+    """Header object `name`, which must hold exactly `keys`: a missing key
+    would take a default and an unknown one would be ignored."""
+    if not (isinstance(block, dict) and block.keys() == set(keys)):
+        raise ModelStoreError(f"{path}: {name} must be an object with exactly "
+                              f"the keys {', '.join(keys)}")
+    return block
 
 
 def _check_directory(

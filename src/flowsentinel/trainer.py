@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -111,12 +112,16 @@ class TrainConfig:
     early_stop_patience: int = 0  # 0 disables early stopping
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValidationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
+        for name, value in vars(self).items():
+            if name in ("lr", "val_fraction"):
+                if isinstance(value, bool) or not isinstance(value, Real):
+                    raise ValidationError(f"{name} must be a number, got {value!r}")
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            minimum = 1 if name in ("epochs", "batch_size") else 0
+            if value < minimum:
+                raise ValidationError(f"{name} must be >= {minimum}, got {value}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise ValidationError(
                 f"lr must be a finite number > 0, got {self.lr}"
@@ -125,10 +130,6 @@ class TrainConfig:
             raise ValidationError(
                 f"val_fraction must be in (0, 1), got {self.val_fraction}"
             )
-        if self.early_stop_patience < 0:
-            raise ValidationError("early_stop_patience must be >= 0")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -164,19 +165,10 @@ def build_model(arch: ArchitectureConfig, rng: np.random.Generator) -> ModelPara
 
 
 def _layers(model: ModelParams) -> list:
-    """Layer views over the table's (weights, bias) pairs, in stack order.
-
-    The views hold the table's arrays themselves; the kernels only read them.
-    """
+    """Layer views over the table's (weights, bias) pairs, in stack order."""
     arrays = list(model.params.values())
-    views = []
-    for w, b in zip(arrays[0::2], arrays[1::2]):
-        if w.ndim == 3:
-            filters, channels, k = w.shape
-            views.append(L.Conv1DLayer(w, b, channels, filters, k))
-        else:
-            views.append(L.DenseLayer(w, b))
-    return views
+    return [(L.Conv1DLayer if w.ndim == 3 else L.DenseLayer)(w, b)
+            for w, b in zip(arrays[0::2], arrays[1::2])]
 
 
 def _pool(x: np.ndarray, pool: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,16 +265,18 @@ def train(
 ) -> tuple[ModelParams, TrainHistory]:
     """Mini-batch training with per-epoch validation monitoring.
 
-    Features must already be standardized and shaped (samples, F, 1); labels
-    are one integer class index per sample, below class_count. With
+    Features must already be standardized and shaped (samples,
+    arch.feature_count, 1), else DimensionError; labels are one integer
+    class index per sample, below class_count. With
     early_stop_patience > 0, training stops after that many consecutive
     epochs without a validation loss improvement and the best epoch's
     parameters are restored. A batch whose loss or updated parameters are
     not finite raises ValidationError naming its epoch and batch.
     """
-    if dataset_features.rank != 3 or dataset_features.shape[2] != 1:
+    width = model.arch.feature_count
+    if dataset_features.shape[1:] != (width, 1):
         raise DimensionError(
-            f"features must be (samples, features, 1), got {dataset_features.shape}"
+            f"features must be (samples, {width}, 1), got {dataset_features.shape}"
         )
     x3 = dataset_features.array
     y = class_indices(labels, x3.shape[0], model.arch.class_count)

@@ -80,7 +80,7 @@ def test_criterion_1_gradient_suite():
             w = rng.standard_normal((3, 2, 3))
             b = rng.standard_normal(3)
             probe = rng.standard_normal((6, 3))
-            layer = Conv1DLayer(w, b, 2, 3, 3)
+            layer = Conv1DLayer(w, b)
             grads = conv1d_backward(layer, x[None], probe[None])
 
             def conv_loss():
@@ -180,7 +180,7 @@ def test_criterion_2_convolution_oracle():
             x = rng.standard_normal((length, channels))
             w = rng.standard_normal((filters, channels, 3))
             b = rng.standard_normal(filters)
-            layer = Conv1DLayer(w, b, channels, filters, 3)
+            layer = Conv1DLayer(w, b)
             got = conv1d_forward(layer, x[None])[0]
             assert np.array_equal(got, conv1d_brute(x, w, b))
 

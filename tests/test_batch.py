@@ -28,7 +28,6 @@ def _conv(rng, in_ch, filters, k=3):
     return L.Conv1DLayer(
         weights=rng.standard_normal((filters, in_ch, k)),
         bias=rng.standard_normal(filters),
-        in_channels=in_ch, filters=filters, kernel_size=k,
     )
 
 

@@ -35,6 +35,22 @@ def test_train_happy_path(flow_csv, tmp_path, capsys):
     assert (tmp_path / "model.fsnt").exists()
 
 
+def test_early_stop_reports_the_restored_epoch(tmp_path, capsys):
+    data = write_flow_csv(tmp_path / "flows.csv", n_per_class=30, seed=4)
+    out = _train(data, tmp_path, "--epochs", "10", "--lr", "0.1",
+                 "--early-stop-patience", "1")
+    captured = capsys.readouterr()
+    val_losses = [l.split()[4] for l in captured.err.splitlines()
+                  if l.startswith("epoch ")]
+    best = int(captured.out.split("best_epoch=")[1].split()[0])
+    assert best < len(val_losses)  # stopped after a worse epoch
+    assert val_losses[best - 1] != val_losses[-1]
+    final = next(l for l in captured.out.splitlines() if l.startswith("final "))
+    assert final.split()[3] == val_losses[best - 1]
+    assert run(["inspect", "--model", out]) == 0
+    assert f" {val_losses[best - 1]} " in capsys.readouterr().out
+
+
 def test_train_usage_errors(tmp_path, capsys):
     assert run(["train", "--out", str(tmp_path / "m.fsnt")]) == 1
     assert "usage" in capsys.readouterr().err
@@ -192,6 +208,18 @@ HEADER_EDITS = {
     "metadata-unknown-key": lambda h: h["metadata"].update(note="hand-edited"),
     "shuffle-false": lambda h: h["metadata"]["train_config"].update(
         shuffle_each_epoch=False),
+    "train_config-cut": lambda h: h["metadata"].update(train_config={
+        "seed": h["metadata"]["seed"], "shuffle_each_epoch": True}),
+    "train_config-unknown-key": lambda h: h["metadata"]["train_config"].update(
+        momentum=0.9),
+    "epochs-float": lambda h: h["metadata"]["train_config"].update(epochs=3.5),
+    "patience-bool": lambda h: h["metadata"]["train_config"].update(
+        early_stop_patience=True),
+    "lr-string": lambda h: h["metadata"]["train_config"].update(lr="0.001"),
+    "architecture-cut": lambda h: h["architecture"].pop("dense_units"),
+    "preprocessing-unknown-key": lambda h: h["preprocessing"].update(scale=2.0),
+    "taxonomy-unknown-key": lambda h: h["taxonomy"].update(version=2),
+    "header-unknown-key": lambda h: h.update(comment="hand-edited"),
 }
 
 

@@ -91,7 +91,7 @@ def test_golden_wide_partial_batch_early_stop(tmp_path, monkeypatch, capsys):
     _, _, _, metadata, _ = load_model("wide.fsnt")
     assert metadata.epochs_run < 8  # early stopping fired
     assert got == {
-        "model": "37d9cf6bec5ad1e6f2747e9e42ea8dc466f4408effd1a345d42b56881e4d227c",
+        "model": "e96528cb94353b15e2e089f4417c74a7af804683478c9bd8131c9f2292660813",
         "epoch_lines": "121201ae26d48b5a4e29e965593b502606c17e1be7b2fa637daf978383addd59",
         "predict": "8f1b1ab145909fb4ac54a498b5f96072136681c066d1dff2e1c8043bcf5708b8",
         "report": "d04714343f54af059b0c2670cd87070cd689a90ea3b579201386e99eefbc4b49",

@@ -207,6 +207,14 @@ def test_garbage_header_rejected(tmp_path):
         load_model(str(bad))
 
 
+@pytest.mark.parametrize("header", [b"[]", b"3", b'"x"'])
+def test_non_object_header_rejected(tmp_path, header):
+    bad = tmp_path / "list.fsnt"
+    bad.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header)
+    with pytest.raises(ModelStoreError, match="unknown format version None"):
+        load_model(str(bad))
+
+
 def test_save_to_directory_is_io_error(saved, tmp_path):
     _, model, pre, metadata, names = saved
     with pytest.raises(ModelStoreError):

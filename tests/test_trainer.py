@@ -96,6 +96,25 @@ def test_zero_size_layers_rejected(field):
         ArchitectureConfig(feature_count=16, class_count=3, **{field: -2})
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("epochs", 3.5, "epochs must be an integer, got 3.5"),
+    ("batch_size", "32", "batch_size must be an integer, got '32'"),
+    ("early_stop_patience", True, "early_stop_patience must be an integer, got True"),
+    ("early_stop_patience", -1, "early_stop_patience must be >= 0, got -1"),
+    ("lr", "0.001", "lr must be a number, got '0.001'"),
+    ("val_fraction", False, "val_fraction must be a number, got False"),
+])
+def test_train_config_rejects_wrong_types(field, value, reason):
+    with pytest.raises(ValidationError) as err:
+        TrainConfig(**{field: value})
+    assert str(err.value) == reason
+
+
+def test_train_config_accepts_numpy_scalars():
+    cfg = TrainConfig(epochs=np.int64(2), lr=np.float64(0.01), val_fraction=0.25)
+    assert cfg.epochs == 2
+
+
 def test_build_model_deterministic_per_seed():
     arch = ArchitectureConfig(feature_count=12, class_count=3)
     a = build_model(arch, np.random.default_rng(123))
@@ -159,6 +178,11 @@ def test_train_validates_inputs():
     with pytest.raises(ValidationError):
         train(model, x3, np.array([0, 1, 2, 0]), cfg,
               split=SplitIndices(train_indices=[], val_indices=[0]))
+    # F=17 flattens to the same 128 values as F=16, so only train can tell
+    wide = Tensor(rng.standard_normal((4, 17, 1)))
+    with pytest.raises(DimensionError, match=r"\(samples, 16, 1\)"):
+        train(model, wide, np.array([0, 1, 2, 0]), cfg,
+              SplitIndices(train_indices=[0, 1, 2], val_indices=[3]))
 
 
 @pytest.mark.parametrize("labels", [
