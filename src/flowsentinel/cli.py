@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -65,12 +66,14 @@ def _build_parser() -> _Parser:
     p_train.add_argument("--task", choices=TASKS, default="multiclass")
     p_train.add_argument("--label-column", default=DEFAULT_LABEL_COLUMN)
     p_train.add_argument("--taxonomy", help="taxonomy rules file")
-    p_train.add_argument("--epochs", type=int, default=10)
-    p_train.add_argument("--batch-size", type=int, default=32)
-    p_train.add_argument("--lr", type=float, default=0.001)
-    p_train.add_argument("--val-split", type=float, default=0.2)
-    p_train.add_argument("--seed", type=int, default=42)
-    p_train.add_argument("--early-stop-patience", type=int, default=0)
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p_train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p_train.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p_train.add_argument("--val-split", type=float,
+                         default=TrainConfig.val_fraction)
+    p_train.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p_train.add_argument("--early-stop-patience", type=int,
+                         default=TrainConfig.early_stop_patience)
     p_train.add_argument("--limit-per-class", type=int, default=None)
     p_train.add_argument("--out", required=True, help="model file to write")
 
@@ -136,6 +139,18 @@ def _load_taxonomy(args):
     return load_taxonomy(args.taxonomy) if args.taxonomy else default_taxonomy()
 
 
+@contextmanager
+def _output(path: str | None, what: str):
+    """Yield the --out file, or stdout when there is none; a written file
+    is named on stderr."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        yield fh
+    print(f"{what} written to {path}", file=sys.stderr)
+
+
 def _cmd_train(args) -> None:
     cfg = TrainConfig(
         epochs=args.epochs,
@@ -153,6 +168,11 @@ def _cmd_train(args) -> None:
         ds = subsample_stratified(ds, args.limit_per_class, cfg.seed)
     mapped = map_labels(ds.raw_labels, taxonomy, args.task)
     label_map, class_idx = encode_labels(mapped)
+    if len(label_map) < 2:
+        raise ValidationError(
+            f"{args.data}: task {args.task} maps every row to the one class "
+            f"{label_map[0]!r}; training needs at least 2 classes"
+        )
     split = stratified_split(class_idx, cfg.val_fraction, cfg.seed)
     train_rows = Tensor._wrap(
         np.ascontiguousarray(ds.features.array[split.train_indices])
@@ -207,12 +227,8 @@ def _cmd_evaluate(args) -> None:
         text = json.dumps(report.to_dict(), indent=2)
     else:
         text = report.to_text()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"report written to {args.out}", file=sys.stderr)
-    else:
-        print(text)
+    with _output(args.out, "report") as fh:
+        print(text, file=fh)
 
 
 def _cmd_predict(args) -> None:
@@ -225,14 +241,8 @@ def _cmd_predict(args) -> None:
         [class_names[pred_idx[i]]] + [repr(float(v)) for v in probs.array[i]]
         for i in range(len(pred_idx))
     )
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        print(f"predictions written to {args.out}", file=sys.stderr)
-    else:
-        writer = csv.writer(sys.stdout)
+    with _output(args.out, "predictions") as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 

@@ -27,9 +27,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .dataset import Taxonomy, TaxonomyRule
-from .errors import ModelStoreError, ValidationError
+from .errors import ConfigurationError, ModelStoreError, ValidationError
 from .pipeline import PreprocState
-from .trainer import ArchitectureConfig, ModelParams, TrainConfig, param_shapes
+from .trainer import STACK, ArchitectureConfig, ModelParams, TrainConfig, param_shapes
 
 MAGIC = b"FLOWSNT1"
 FORMAT_VERSION = 1
@@ -94,7 +94,7 @@ def _header_dict(
     }
     return {
         "format_version": FORMAT_VERSION,
-        "architecture": asdict(model.arch),
+        "architecture": {**asdict(model.arch), **STACK},
         "class_names": list(preproc.label_map),
         "feature_names": list(feature_names),
         "preprocessing": {
@@ -194,9 +194,16 @@ def load_model(
     payload = memoryview(blob)[12 + header_len :]  # a view, not a copy
     try:
         _object(path, "the header", header, HEADER_KEYS)
-        arch = ArchitectureConfig(**_object(
-            path, "architecture", header["architecture"],
-            [f.name for f in fields(ArchitectureConfig)]))
+        block = _object(path, "architecture", header["architecture"],
+                        [f.name for f in fields(ArchitectureConfig)] + list(STACK))
+        for name, size in STACK.items():  # 32.0 and true are not 32
+            if type(block[name]) is not int or block[name] != size:
+                raise ModelStoreError(f"{path}: architecture.{name} must be "
+                                      f"{size}, got {json.dumps(block[name])}")
+        try:
+            arch = ArchitectureConfig(block["feature_count"], block["class_count"])
+        except ConfigurationError as exc:
+            raise ModelStoreError(f"{path}: architecture.{exc}") from exc
         entries = _check_directory(path, arch, header["tensors"])
         expected_total = sum(entry["byte_length"] for entry in entries)
         if len(payload) != expected_total:

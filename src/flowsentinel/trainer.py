@@ -24,7 +24,8 @@ from .dataset import Dataset, Taxonomy, map_labels
 from .errors import ConfigurationError, DimensionError, ValidationError
 from .metrics import EvalReport, classification_report, confusion_matrix
 from .optim import (
-    AdamState, adam_step, class_indices, glorot_uniform_init, softmax_ce_grad,
+    DEFAULT_LR, AdamState, adam_step, class_indices, glorot_uniform_init,
+    softmax_ce_grad,
 )
 from .pipeline import PreprocState, SplitIndices, apply_standardizer
 from .tensor import Tensor
@@ -35,50 +36,49 @@ from .tensor import Tensor
 # sample at F=45, keep growing.
 EVAL_CHUNK = 32
 
-@dataclass
+# The paper's layer sizes, in model-file order; the engine builds no other.
+STACK = {"conv1_filters": 32, "conv2_filters": 64, "kernel_size": 3,
+         "pool_size": 2, "dense_units": 128}
+
+
+@dataclass(frozen=True)
 class ArchitectureConfig:
     feature_count: int
     class_count: int
-    conv1_filters: int = 32
-    conv2_filters: int = 64
-    kernel_size: int = 3
-    pool_size: int = 2
-    dense_units: int = 128
 
     def __post_init__(self):
-        for name in ("class_count", "conv1_filters", "conv2_filters",
-                     "kernel_size", "pool_size", "dense_units"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
-                )
+        for name in ("feature_count", "class_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy ints as plain ints
+        if self.class_count < 2:
+            raise ConfigurationError(f"class_count must be >= 2, got {self.class_count}")
         shape_chain(self)  # raises if feature_count cannot flow through
+
+
+for _name, _size in STACK.items():  # class attributes, not fields
+    setattr(ArchitectureConfig, _name, _size)
 
 
 def shape_chain(arch: ArchitectureConfig) -> list[int]:
     """Lengths along the stack: [F, conv1, pool1, conv2, pool2].
 
     Valid convolution maps L to L-k+1; pooling maps L to floor(L/pool).
-    Raises if any stage underflows or the flattened length would be 0.
-    Both maps are monotone, so the smallest workable F is found by running
-    the stages backwards from a final length of 1.
+    Raises if any stage would underflow: running the stages backwards from
+    a final length of 1 gives the smallest workable F, (1*2 + 2)*2 + 2 = 10.
     """
-    lengths = [arch.feature_count]
-    minimum = 1
-    for _ in range(2):
-        conv = lengths[-1] - arch.kernel_size + 1
-        lengths += [conv, conv // arch.pool_size]
-        minimum = minimum * arch.pool_size + arch.kernel_size - 1
-    if arch.feature_count < minimum:
-        raise ConfigurationError(
-            f"feature_count {arch.feature_count} is too small for the "
-            f"conv/pool stack; minimum is {minimum}"
-        )
-    return lengths
+    if arch.feature_count < 10:
+        raise ConfigurationError(f"feature_count {arch.feature_count} is too "
+                                 "small for the conv/pool stack; minimum is 10")
+    k, pool = STACK["kernel_size"], STACK["pool_size"]
+    conv1 = arch.feature_count - k + 1
+    conv2 = conv1 // pool - k + 1
+    return [arch.feature_count, conv1, conv1 // pool, conv2, conv2 // pool]
 
 
 def flatten_length(arch: ArchitectureConfig) -> int:
-    return shape_chain(arch)[-1] * arch.conv2_filters
+    return shape_chain(arch)[-1] * STACK["conv2_filters"]
 
 
 def param_shapes(arch: ArchitectureConfig) -> dict[str, tuple[int, ...]]:
@@ -89,15 +89,15 @@ def param_shapes(arch: ArchitectureConfig) -> dict[str, tuple[int, ...]]:
     kernel_size) and dense weights (out, in). The order is also the order of
     the model file's tensor directory.
     """
-    k = arch.kernel_size
+    conv1, conv2, k, _, dense = STACK.values()
     return {
-        "conv1.weights": (arch.conv1_filters, 1, k),
-        "conv1.bias": (arch.conv1_filters,),
-        "conv2.weights": (arch.conv2_filters, arch.conv1_filters, k),
-        "conv2.bias": (arch.conv2_filters,),
-        "dense1.weights": (arch.dense_units, flatten_length(arch)),
-        "dense1.bias": (arch.dense_units,),
-        "output.weights": (arch.class_count, arch.dense_units),
+        "conv1.weights": (conv1, 1, k),
+        "conv1.bias": (conv1,),
+        "conv2.weights": (conv2, conv1, k),
+        "conv2.bias": (conv2,),
+        "dense1.weights": (dense, flatten_length(arch)),
+        "dense1.bias": (dense,),
+        "output.weights": (arch.class_count, dense),
         "output.bias": (arch.class_count,),
     }
 
@@ -106,7 +106,7 @@ def param_shapes(arch: ArchitectureConfig) -> dict[str, tuple[int, ...]]:
 class TrainConfig:
     epochs: int = 10
     batch_size: int = 32
-    lr: float = 0.001
+    lr: float = DEFAULT_LR
     val_fraction: float = 0.2
     seed: int = 42
     early_stop_patience: int = 0  # 0 disables early stopping
@@ -171,9 +171,10 @@ def _layers(model: ModelParams) -> list:
             for w, b in zip(arrays[0::2], arrays[1::2])]
 
 
-def _pool(x: np.ndarray, pool: int) -> tuple[np.ndarray, np.ndarray]:
+def _pool(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max-pool an (N, L, C) batch as the rows of its samples, each trimmed
     to whole windows so that no window spans two samples."""
+    pool = STACK["pool_size"]
     n, length, channels = x.shape
     t_out = length // pool
     rows = x[:, : t_out * pool].reshape(n * t_out * pool, channels)
@@ -182,9 +183,10 @@ def _pool(x: np.ndarray, pool: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unpool(
-    argmax: np.ndarray, grad: np.ndarray, shape: tuple[int, int, int], pool: int
+    argmax: np.ndarray, grad: np.ndarray, shape: tuple[int, int, int]
 ) -> np.ndarray:
     """Gradient of `_pool` for an input of `shape`; trimmed rows get 0."""
+    pool = STACK["pool_size"]
     n, length, channels = shape
     t_out = length // pool
     rows = L.maxpool1d_backward(
@@ -201,11 +203,10 @@ def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     Returns the (N, class_count) logits and the activations `backward` reads.
     """
     conv1, conv2, dense1, output = _layers(model)
-    pool = model.arch.pool_size
     c1 = L.conv1d_forward(conv1, x)
-    p1, arg1 = _pool(L.relu(c1), pool)
+    p1, arg1 = _pool(L.relu(c1))
     c2 = L.conv1d_forward(conv2, p1)
-    p2, arg2 = _pool(L.relu(c2), pool)
+    p2, arg2 = _pool(L.relu(c2))
     flat = L.flatten(p2)
     h = L.dense_forward(dense1, flat)
     hr = L.relu(h)
@@ -220,13 +221,12 @@ def backward(
     in sample order."""
     conv1, conv2, dense1, output = _layers(model)
     x, c1, arg1, p1, c2, arg2, flat, h, hr = activations
-    pool = model.arch.pool_size
     g_out = L.dense_backward(output, hr, grad_logits)
     g_h = L.relu_backward(h, g_out.d_input)
     g_dense1 = L.dense_backward(dense1, flat, g_h)
-    d_c2 = L.relu_backward(c2, _unpool(arg2, g_dense1.d_input, c2.shape, pool))
+    d_c2 = L.relu_backward(c2, _unpool(arg2, g_dense1.d_input, c2.shape))
     g_conv2 = L.conv1d_backward(conv2, p1, d_c2)
-    d_c1 = L.relu_backward(c1, _unpool(arg1, g_conv2.d_input, c1.shape, pool))
+    d_c1 = L.relu_backward(c1, _unpool(arg1, g_conv2.d_input, c1.shape))
     g_conv1 = L.conv1d_backward(conv1, x, d_c1)
     layer_grads = (g_conv1, g_conv2, g_dense1, g_out)
     pairs = [g for lg in layer_grads for g in (lg.d_weights, lg.d_bias)]

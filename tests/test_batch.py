@@ -92,12 +92,12 @@ def test_pool_batch_equals_single_samples(n):
     for length, channels in ((7, 3), (10, 2), (5, 1)):
         x = rng.standard_normal((n, length, channels))
         x[:, 1::3] = x[:, ::3][:, : x[:, 1::3].shape[1]]  # ties between taps
-        pooled, argmax = _pool(x, 2)
+        pooled, argmax = _pool(x)
         per = [L.maxpool1d_forward(x[i], 2) for i in range(n)]
         assert np.array_equal(pooled, np.stack([p for p, _ in per]))
 
         g = rng.standard_normal(pooled.shape)
-        back = _unpool(argmax, g, x.shape, 2)
+        back = _unpool(argmax, g, x.shape)
         singles = [L.maxpool1d_backward(arg, g[i], (length, channels))
                    for i, (_, arg) in enumerate(per)]
         assert np.array_equal(back, np.stack(singles))

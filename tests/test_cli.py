@@ -6,7 +6,6 @@ import pytest
 
 from flowsentinel.cli import run
 from flowsentinel.dataset import load_csv
-from flowsentinel.trainer import param_shapes
 
 from conftest import write_flow_csv
 
@@ -109,6 +108,34 @@ def test_train_rejects_negative_seed(flow_csv, tmp_path, capsys, recwarn, extra)
     assert not out.exists()
 
 
+def _no_benign_rules(tmp_path, flow_csv):
+    """A taxonomy without a Benign category: binary maps every row to
+    Attack."""
+    rules = tmp_path / "rules.txt"
+    rules.write_text("prefix,DDoS,DDoS\nprefix,DoS,DoS\nexact,Benign,Normal\n",
+                     encoding="utf-8")
+    return [flow_csv, "--task", "binary", "--taxonomy", str(rules)], "binary", "Attack"
+
+
+def _one_label_csv(tmp_path, flow_csv):
+    data = write_flow_csv(tmp_path / "one.csv", n_per_class=10, seed=4,
+                          labels=("DoS-SYN",) * 3)
+    return [data], "multiclass", "DoS-SYN"
+
+
+@pytest.mark.parametrize("case", [_no_benign_rules, _one_label_csv],
+                         ids=["binary-taxonomy-without-benign", "one-label-csv"])
+def test_train_one_class_is_data_error(flow_csv, tmp_path, capsys, recwarn,
+                                       case):
+    args, task, only = case(tmp_path, flow_csv)
+    out = tmp_path / "m.fsnt"
+    assert run(["train", "--out", str(out), "--data", *args]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert f"task {task} maps every row to the one class {only!r}" in captured.err
+    assert not out.exists()
+
+
 def test_train_feature_too_large_to_standardize(flow_csv, tmp_path, capsys,
                                                 recwarn):
     lines = Path(flow_csv).read_text(encoding="utf-8").splitlines()
@@ -124,19 +151,13 @@ def test_train_feature_too_large_to_standardize(flow_csv, tmp_path, capsys,
 
 
 CORRUPTIONS = ("nan-payload", "inf-payload", "output-rows", "dense1-width",
-               "extra-entry", "reordered", "dense_units-0", "kernel_size-0")
+               "extra-entry", "reordered")
 
 
 def _corrupt(model, corruption):
-    """Damage a loaded model in place: its parameter table, or one layer
-    size set to 0 after the architecture was checked, with a zero-valued
-    table of the shapes that size gives."""
+    """Damage a loaded model's parameter table in place."""
     params = model.params
-    if corruption.endswith("-0"):
-        setattr(model.arch, corruption[: -len("-0")], 0)
-        model.params = {name: np.zeros(shape)
-                        for name, shape in param_shapes(model.arch).items()}
-    elif corruption == "nan-payload":
+    if corruption == "nan-payload":
         params["conv1.weights"][0, 0, 0] = np.nan
     elif corruption == "inf-payload":
         params["dense1.bias"][3] = -np.inf
@@ -183,9 +204,7 @@ def test_corrupt_model_is_exit_3(trained_model, tmp_path, capsys, recwarn,
     assert run(argv) == 3
     captured = capsys.readouterr()
     _assert_one_error_line(captured, recwarn)
-    if corruption.endswith("-0"):
-        reason = corruption[: -len("-0")] + " must be >= 1, got 0"
-    elif "payload" in corruption:
+    if "payload" in corruption:
         reason = "non-finite value"
     else:
         reason = "tensor directory"
@@ -217,6 +236,17 @@ HEADER_EDITS = {
         early_stop_patience=True),
     "lr-string": lambda h: h["metadata"]["train_config"].update(lr="0.001"),
     "architecture-cut": lambda h: h["architecture"].pop("dense_units"),
+    # the paper's layer sizes are fixed, and compared as JSON integers
+    "architecture.dense_units-64": lambda h: h["architecture"].update(dense_units=64),
+    "architecture.kernel_size-0": lambda h: h["architecture"].update(kernel_size=0),
+    "architecture.conv1_filters-float": lambda h: h["architecture"].update(
+        conv1_filters=32.0),
+    "architecture.pool_size-bool": lambda h: h["architecture"].update(
+        pool_size=True),
+    "architecture.feature_count-float": lambda h: h["architecture"].update(
+        feature_count=12.0),
+    "architecture.class_count-bool": lambda h: h["architecture"].update(
+        class_count=True),
     "preprocessing-unknown-key": lambda h: h["preprocessing"].update(scale=2.0),
     "taxonomy-unknown-key": lambda h: h["taxonomy"].update(version=2),
     "header-unknown-key": lambda h: h.update(comment="hand-edited"),
@@ -241,6 +271,8 @@ def test_bad_header_value_is_exit_3(trained_model, tmp_path, capsys, recwarn,
     captured = capsys.readouterr()
     _assert_one_error_line(captured, recwarn)
     assert f"error: {bad}: " in captured.err
+    if edit.startswith("architecture."):
+        assert f"error: {bad}: {edit.split('-')[0]} " in captured.err
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])

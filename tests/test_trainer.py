@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -87,13 +88,35 @@ def test_feature_count_too_small_rejected():
     assert flatten_length(ArchitectureConfig(feature_count=10, class_count=2)) == 64
 
 
-@pytest.mark.parametrize("field", ["conv1_filters", "conv2_filters",
-                                   "kernel_size", "pool_size", "dense_units"])
-def test_zero_size_layers_rejected(field):
-    with pytest.raises(ConfigurationError, match=f"{field} must be >= 1, got 0"):
-        ArchitectureConfig(feature_count=16, class_count=3, **{field: 0})
-    with pytest.raises(ConfigurationError, match=f"{field} must be >= 1, got -2"):
-        ArchitectureConfig(feature_count=16, class_count=3, **{field: -2})
+def test_architecture_is_the_papers_stack():
+    arch = ArchitectureConfig(feature_count=16, class_count=3)
+    assert [f.name for f in dataclasses.fields(arch)] == ["feature_count",
+                                                          "class_count"]
+    assert (arch.conv1_filters, arch.conv2_filters, arch.kernel_size,
+            arch.pool_size, arch.dense_units) == (32, 64, 3, 2, 128)
+    with pytest.raises(TypeError):
+        ArchitectureConfig(feature_count=16, class_count=3, dense_units=64)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        arch.class_count = 4
+
+
+@pytest.mark.parametrize("feature_count, class_count, reason", [
+    (16.0, 3, "feature_count must be an integer, got 16.0"),
+    (True, 3, "feature_count must be an integer, got True"),
+    (16, 3.0, "class_count must be an integer, got 3.0"),
+    (16, True, "class_count must be an integer, got True"),
+    (16, 1, "class_count must be >= 2, got 1"),
+    (16, 0, "class_count must be >= 2, got 0"),
+])
+def test_architecture_sizes_are_integers(feature_count, class_count, reason):
+    with pytest.raises(ConfigurationError, match=reason):
+        ArchitectureConfig(feature_count=feature_count, class_count=class_count)
+
+
+def test_architecture_takes_numpy_integers_as_ints():
+    arch = ArchitectureConfig(np.int64(16), np.int32(2))
+    assert arch == ArchitectureConfig(16, 2)
+    assert type(arch.feature_count) is int and type(arch.class_count) is int
 
 
 @pytest.mark.parametrize("field, value, reason", [
