@@ -25,6 +25,8 @@ from .tensor import Tensor
 TASKS = ("binary", "category", "multiclass")
 
 DEFAULT_LABEL_COLUMN = "label"
+# The binary task keeps this category and calls every other one Attack.
+BINARY_POSITIVE = "Benign"
 BINARY_ATTACK_LABEL = "Attack"
 
 _RULE_KINDS = ("exact", "prefix", "contains")
@@ -83,7 +85,6 @@ class TaxonomyRule:
 @dataclass
 class Taxonomy:
     rules: list[TaxonomyRule] = field(default_factory=list)
-    binary_positive: str = "Benign"
 
     def __post_init__(self):
         for rule in self.rules:
@@ -93,8 +94,6 @@ class Taxonomy:
                 )
             if not (isinstance(rule.pattern, str) and isinstance(rule.category, str)):
                 raise TaxonomyError(f"rule pattern and category must be strings: {rule}")
-        if not isinstance(self.binary_positive, str):
-            raise TaxonomyError("binary_positive must be a string")
 
     def category_of(self, label: str) -> str | None:
         for rule in self.rules:
@@ -368,9 +367,9 @@ def map_labels(
         return list(raw_labels)
     if task == "category":
         return [categories[label] for label in raw_labels]
-    positive = taxonomy.binary_positive
     return [
-        positive if categories[label] == positive else BINARY_ATTACK_LABEL
+        BINARY_POSITIVE if categories[label] == BINARY_POSITIVE
+        else BINARY_ATTACK_LABEL
         for label in raw_labels
     ]
 

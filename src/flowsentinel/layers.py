@@ -7,15 +7,18 @@ Kernels take plain float64 ndarrays whose first axis is the sample: conv and
 flatten inputs are (N, length, channels), dense and softmax inputs
 (N, width). One sample is the N=1 batch of the same kernel. Max pooling works
 on rows (length, channels); a batch is pooled as the rows of all its samples,
-each trimmed to whole windows, so no window spans two samples.
+each trimmed to whole windows, so no window spans two samples. The forward
+pass keeps one bool per pooled cell, True where the window's second row won,
+and the backward pass routes each gradient through it.
 
 The kernels check no shapes: callers guarantee them. `trainer.forward` and
 `trainer.backward` are the only callers, and every shape they pass follows
 from `param_shapes(arch)` and `shape_chain(arch)`; `train` and
 `apply_standardizer` check the input at the public boundary.
 
-Every sum runs in a fixed order, so results are bit-equal to naive loops and
-do not depend on N or on a sample's place in its batch:
+Every sum runs in a fixed order (`fold_sum` is the left fold), so results
+are bit-equal to naive loops and do not depend on N or on a sample's place in
+its batch:
 - conv forward: acc = bias, then acc += w[f,c,k] * x[t+k,c] for each
   (channel, tap) in ascending order;
 - dense forward: acc = the first column's term, then each later column's in
@@ -26,12 +29,11 @@ do not depend on N or on a sample's place in its batch:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from .tensor import fold_sum
 
 
 @dataclass
@@ -63,6 +65,24 @@ class LayerGrads:
 # columns to amortise the call cost on narrow layers, few enough to stay in
 # cache on wide ones.
 _FOLD_BLOCK_BYTES = 1 << 19
+
+
+def fold_sum(stack: np.ndarray) -> np.ndarray:
+    """Left-fold sum over axis 0 of a C-contiguous stack.
+
+    Equivalent to `acc = stack[0]; acc += stack[i]` in ascending i. Outer-axis
+    np.add.reduce performs exactly that fold when the inner block has more
+    than one element; for single-element blocks numpy switches to pairwise
+    summation, so np.add.accumulate (sequential by definition) is used there.
+    """
+    stack = np.ascontiguousarray(stack)
+    n = stack.shape[0]
+    if n == 1:
+        return stack[0].copy()
+    inner = math.prod(stack.shape[1:])
+    if inner > 1:
+        return np.add.reduce(stack, axis=0)
+    return np.add.accumulate(stack, axis=0)[-1]
 
 
 def conv1d_forward(layer: Conv1DLayer, x: np.ndarray) -> np.ndarray:
@@ -102,31 +122,25 @@ def conv1d_backward(
     return LayerGrads(d_weights=d_weights, d_bias=d_bias, d_input=d_input)
 
 
-def maxpool1d_forward(x: np.ndarray, pool: int = 2) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping max pooling of (length, channels) rows; returns
-    (pooled, flat argmax per cell).
-
-    Stride equals the pool size; a trailing remainder shorter than the window
-    is dropped. Ties go to the first (lowest) index.
-    """
-    length, channels = x.shape
-    t_out = length // pool
-    v = x[: t_out * pool].reshape(t_out, pool, channels)
-    pooled = v.max(axis=1)
-    within = v.argmax(axis=1)  # first index on ties
-    cells = np.arange(t_out)[:, None] * pool + within
-    argmax_indices = cells * channels + np.arange(channels)[None, :]
-    return pooled, argmax_indices
+def maxpool1d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max of each pair of (rows, channels) rows, the pool size of
+    `trainer.STACK`; an odd last row is dropped. Returns (pooled, mask), the
+    mask True where the second row is the larger, so ties go to the first."""
+    first, second = x[0 : len(x) - 1 : 2], x[1::2]
+    return np.maximum(first, second), second > first
 
 
 def maxpool1d_backward(
-    argmax_indices: np.ndarray, grad_out: np.ndarray, input_shape: tuple[int, int]
+    mask: np.ndarray, grad_out: np.ndarray, input_shape: tuple[int, int]
 ) -> np.ndarray:
-    """Route each output gradient to its recorded argmax position."""
-    length, channels = input_shape
-    flat = np.zeros(length * channels)
-    np.add.at(flat, argmax_indices.reshape(-1), grad_out.reshape(-1))
-    return flat.reshape(length, channels)
+    """Add each output gradient into zeros at the row `mask` names (so -0.0
+    lands as +0.0); np.where, not a product with the mask, so an infinite
+    gradient leaves no NaN in the other row."""
+    grad = np.zeros(input_shape)
+    first, second = grad[0 : 2 * len(mask) : 2], grad[1 : 2 * len(mask) : 2]
+    first += np.where(mask, 0.0, grad_out)
+    second += np.where(mask, grad_out, 0.0)
+    return grad
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .dataset import Taxonomy, TaxonomyRule
+from .dataset import BINARY_POSITIVE, Taxonomy, TaxonomyRule
 from .errors import ConfigurationError, ModelStoreError, ValidationError
 from .pipeline import PreprocState
 from .trainer import STACK, ArchitectureConfig, ModelParams, TrainConfig, param_shapes
@@ -105,7 +105,7 @@ def _header_dict(
         },
         "taxonomy": {
             "rules": [[r.kind, r.pattern, r.category] for r in taxonomy.rules],
-            "binary_positive": taxonomy.binary_positive,
+            "binary_positive": BINARY_POSITIVE,
         },
         "metadata": {"task": preproc.task, "seed": metadata.train_config.seed, **meta},
         "tensors": _directory({name: v.shape for name, v in model.params.items()}),
@@ -231,10 +231,12 @@ def load_model(
         )
         tax = _object(path, "taxonomy", header["taxonomy"],
                       ("rules", "binary_positive"))
-        taxonomy = Taxonomy(
-            rules=[TaxonomyRule(k, p, c) for k, p, c in tax["rules"]],
-            binary_positive=tax["binary_positive"],
-        )
+        if tax["binary_positive"] != BINARY_POSITIVE:
+            raise ModelStoreError(
+                f"{path}: taxonomy.binary_positive must be "
+                f"{json.dumps(BINARY_POSITIVE)}, got {json.dumps(tax['binary_positive'])}"
+            )
+        taxonomy = Taxonomy(rules=[TaxonomyRule(k, p, c) for k, p, c in tax["rules"]])
         meta = dict(header["metadata"])
         task, seed = meta.pop("task"), meta.pop("seed")
         config = dict(_object(

@@ -1,8 +1,5 @@
-"""Dense float64 tensors (rank 1-3) and the left-fold sum the layers use.
-
-Every reduction here is a strict left fold in ascending index order, so results
-are bit-identical to a plain Python loop and therefore reproducible run to run.
-"""
+"""The frozen float64 array (rank 1-3) that carries data across the library
+boundary."""
 
 from __future__ import annotations
 
@@ -70,20 +67,3 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
-
-def fold_sum(stack: np.ndarray) -> np.ndarray:
-    """Left-fold sum over axis 0 of a C-contiguous stack.
-
-    Equivalent to `acc = stack[0]; acc += stack[i]` in ascending i. Outer-axis
-    np.add.reduce performs exactly that fold when the inner block has more
-    than one element; for single-element blocks numpy switches to pairwise
-    summation, so np.add.accumulate (sequential by definition) is used there.
-    """
-    stack = np.ascontiguousarray(stack)
-    n = stack.shape[0]
-    if n == 1:
-        return stack[0].copy()
-    inner = math.prod(stack.shape[1:])
-    if inner > 1:
-        return np.add.reduce(stack, axis=0)
-    return np.add.accumulate(stack, axis=0)[-1]

@@ -173,24 +173,24 @@ def _layers(model: ModelParams) -> list:
 
 def _pool(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max-pool an (N, L, C) batch as the rows of its samples, each trimmed
-    to whole windows so that no window spans two samples."""
+    to whole windows so no window spans two samples; returns (pooled, mask)."""
     pool = STACK["pool_size"]
     n, length, channels = x.shape
     t_out = length // pool
     rows = x[:, : t_out * pool].reshape(n * t_out * pool, channels)
-    pooled, argmax = L.maxpool1d_forward(rows, pool)
-    return pooled.reshape(n, t_out, channels), argmax
+    pooled, mask = L.maxpool1d_forward(rows)
+    return pooled.reshape(n, t_out, channels), mask
 
 
 def _unpool(
-    argmax: np.ndarray, grad: np.ndarray, shape: tuple[int, int, int]
+    mask: np.ndarray, grad: np.ndarray, shape: tuple[int, int, int]
 ) -> np.ndarray:
     """Gradient of `_pool` for an input of `shape`; trimmed rows get 0."""
     pool = STACK["pool_size"]
     n, length, channels = shape
     t_out = length // pool
     rows = L.maxpool1d_backward(
-        argmax, grad.reshape(n * t_out, channels), (n * t_out * pool, channels)
+        mask, grad.reshape(n * t_out, channels), (n * t_out * pool, channels)
     )
     out = np.zeros(shape)
     out[:, : t_out * pool] = rows.reshape(n, t_out * pool, channels)
@@ -204,14 +204,14 @@ def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """
     conv1, conv2, dense1, output = _layers(model)
     c1 = L.conv1d_forward(conv1, x)
-    p1, arg1 = _pool(L.relu(c1))
+    p1, mask1 = _pool(L.relu(c1))
     c2 = L.conv1d_forward(conv2, p1)
-    p2, arg2 = _pool(L.relu(c2))
+    p2, mask2 = _pool(L.relu(c2))
     flat = L.flatten(p2)
     h = L.dense_forward(dense1, flat)
     hr = L.relu(h)
     logits = L.dense_forward(output, hr)
-    return logits, (x, c1, arg1, p1, c2, arg2, flat, h, hr)
+    return logits, (x, c1, mask1, p1, c2, mask2, flat, h, hr)
 
 
 def backward(
@@ -220,13 +220,13 @@ def backward(
     """Parameter gradients keyed as the table, each summed over the batch
     in sample order."""
     conv1, conv2, dense1, output = _layers(model)
-    x, c1, arg1, p1, c2, arg2, flat, h, hr = activations
+    x, c1, mask1, p1, c2, mask2, flat, h, hr = activations
     g_out = L.dense_backward(output, hr, grad_logits)
     g_h = L.relu_backward(h, g_out.d_input)
     g_dense1 = L.dense_backward(dense1, flat, g_h)
-    d_c2 = L.relu_backward(c2, _unpool(arg2, g_dense1.d_input, c2.shape))
+    d_c2 = L.relu_backward(c2, _unpool(mask2, g_dense1.d_input, c2.shape))
     g_conv2 = L.conv1d_backward(conv2, p1, d_c2)
-    d_c1 = L.relu_backward(c1, _unpool(arg1, g_conv2.d_input, c1.shape))
+    d_c1 = L.relu_backward(c1, _unpool(mask1, g_conv2.d_input, c1.shape))
     g_conv1 = L.conv1d_backward(conv1, x, d_c1)
     layer_grads = (g_conv1, g_conv2, g_dense1, g_out)
     pairs = [g for lg in layer_grads for g in (lg.d_weights, lg.d_bias)]

@@ -28,10 +28,7 @@ def gaussian_blobs(n_per_class: int, feature_count: int = 16,
 
 
 def blob_taxonomy(class_count: int = 3) -> Taxonomy:
-    return Taxonomy(
-        rules=[TaxonomyRule("prefix", "class", "Synthetic")],
-        binary_positive="Synthetic",
-    )
+    return Taxonomy(rules=[TaxonomyRule("prefix", "class", "Synthetic")])
 
 
 @pytest.fixture

@@ -27,6 +27,36 @@ def conv1d_brute(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def pool_flat_index(x: np.ndarray, pool: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Max pooling of an (N, L, C) batch by window argmax and flat indices,
+    the route the pairwise-maximum kernel replaced, kept as its reference.
+
+    Each sample is trimmed to whole windows; the batch is pooled as the rows
+    of all samples. Returns (pooled, flat argmax per cell); ties go to the
+    first index.
+    """
+    n, length, channels = x.shape
+    t_out = length // pool
+    v = x[:, : t_out * pool].reshape(n * t_out, pool, channels)
+    within = v.argmax(axis=1)
+    cells = np.arange(n * t_out)[:, None] * pool + within
+    flat_index = cells * channels + np.arange(channels)[None, :]
+    return v.max(axis=1).reshape(n, t_out, channels), flat_index
+
+
+def unpool_flat_index(flat_index: np.ndarray, grad: np.ndarray,
+                      shape: tuple[int, int, int], pool: int = 2) -> np.ndarray:
+    """Gradient of `pool_flat_index`: np.add.at scatters each output gradient
+    into zeros at its flat argmax; trimmed rows get 0."""
+    n, length, channels = shape
+    t_out = length // pool
+    flat = np.zeros(n * t_out * pool * channels)
+    np.add.at(flat, flat_index.reshape(-1), grad.reshape(-1))
+    out = np.zeros(shape)
+    out[:, : t_out * pool] = flat.reshape(n, t_out * pool, channels)
+    return out
+
+
 def central_diff(loss_fn, array: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of loss_fn() w.r.t. every entry of array.
 

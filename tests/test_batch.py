@@ -19,7 +19,7 @@ from flowsentinel.trainer import (
     _unpool,
 )
 
-from oracles import conv1d_brute
+from oracles import conv1d_brute, pool_flat_index, unpool_flat_index
 
 BATCH_SIZES = (1, 2, 3, 7, 33)
 
@@ -93,7 +93,7 @@ def test_pool_batch_equals_single_samples(n):
         x = rng.standard_normal((n, length, channels))
         x[:, 1::3] = x[:, ::3][:, : x[:, 1::3].shape[1]]  # ties between taps
         pooled, argmax = _pool(x)
-        per = [L.maxpool1d_forward(x[i], 2) for i in range(n)]
+        per = [L.maxpool1d_forward(x[i]) for i in range(n)]
         assert np.array_equal(pooled, np.stack([p for p, _ in per]))
 
         g = rng.standard_normal(pooled.shape)
@@ -101,6 +101,25 @@ def test_pool_batch_equals_single_samples(n):
         singles = [L.maxpool1d_backward(arg, g[i], (length, channels))
                    for i, (_, arg) in enumerate(per)]
         assert np.array_equal(back, np.stack(singles))
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_pool_matches_flat_index_reference(n):
+    """The pairwise maximum and its mask give the bytes of the window argmax
+    and np.add.at route, signed zeros included."""
+    rng = np.random.default_rng(500 + n)
+    for length, channels in ((7, 3), (10, 32), (5, 64), (14, 1)):
+        x = L.relu(rng.standard_normal((n, length, channels)))  # zero ties
+        x[:, 1::4] = x[:, ::4][:, : x[:, 1::4].shape[1]]  # nonzero ties
+        x[rng.random(x.shape) < 0.1] = -0.0  # ties of 0.0 with -0.0
+        pooled, mask = _pool(x)
+        want, flat_index = pool_flat_index(x)
+        assert pooled.tobytes() == want.tobytes()
+
+        g = rng.standard_normal(pooled.shape)
+        g[rng.random(g.shape) < 0.3] = -0.0  # must land as +0.0
+        back = _unpool(mask, g, x.shape)
+        assert back.tobytes() == unpool_flat_index(flat_index, g, x.shape).tobytes()
 
 
 @pytest.mark.parametrize("n", BATCH_SIZES)

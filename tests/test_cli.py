@@ -249,6 +249,8 @@ HEADER_EDITS = {
         class_count=True),
     "preprocessing-unknown-key": lambda h: h["preprocessing"].update(scale=2.0),
     "taxonomy-unknown-key": lambda h: h["taxonomy"].update(version=2),
+    "binary_positive-Normal": lambda h: h["taxonomy"].update(
+        binary_positive="Normal"),
     "header-unknown-key": lambda h: h.update(comment="hand-edited"),
 }
 

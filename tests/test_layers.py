@@ -120,15 +120,16 @@ def test_conv_backward_finite_differences():
 # --- MaxPool1D ------------------------------------------------------------
 
 def test_pool_forward_pairwise_max():
-    out, arg = maxpool1d_forward(_col([3, 1, 4, 1, 5, 9]))
+    out, mask = maxpool1d_forward(_col([3, 1, 4, 1, 5, 9]))
     assert out.tolist() == [[3.0], [4.0], [9.0]]
-    assert arg.tolist() == [[0], [2], [5]]
+    assert mask.tolist() == [[False], [False], [True]]
 
 
 def test_pool_forward_tie_takes_first():
-    out, arg = maxpool1d_forward(_col([2, 2]))
+    out, mask = maxpool1d_forward(_col([2, 2]))
     assert out.tolist() == [[2.0]]
-    assert arg.tolist() == [[0]]
+    assert mask.dtype == bool
+    assert mask.tolist() == [[False]]
 
 
 def test_pool_forward_drops_odd_tail():

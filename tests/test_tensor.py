@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from flowsentinel.errors import DimensionError, ValidationError
-from flowsentinel.tensor import Tensor, fold_sum
+from flowsentinel.layers import fold_sum
+from flowsentinel.tensor import Tensor
 
 
 def test_tensor_shape_argument_keeps_row_major_order():
