@@ -11,16 +11,7 @@ from .dataset import (
     map_labels,
     subsample_stratified,
 )
-from .errors import (
-    ConfigurationError,
-    DatasetError,
-    DimensionError,
-    FlowSentinelError,
-    ModelStoreError,
-    SchemaError,
-    TaxonomyError,
-    ValidationError,
-)
+from .errors import DataError, FlowSentinelError, ModelStoreError
 from .metrics import EvalReport, classification_report, confusion_matrix
 from .optim import (
     AdamState,
@@ -56,10 +47,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState",
     "ArchitectureConfig",
-    "ConfigurationError",
+    "DataError",
     "Dataset",
-    "DatasetError",
-    "DimensionError",
     "EvalReport",
     "FlowSentinelError",
     "LossValue",
@@ -67,15 +56,12 @@ __all__ = [
     "ModelParams",
     "ModelStoreError",
     "PreprocState",
-    "SchemaError",
     "SplitIndices",
     "Taxonomy",
-    "TaxonomyError",
     "TaxonomyRule",
     "Tensor",
     "TrainConfig",
     "TrainHistory",
-    "ValidationError",
     "adam_step",
     "apply_standardizer",
     "build_model",

@@ -1,7 +1,8 @@
 """Batch command line: train, evaluate, predict, inspect.
 
 Progress goes to stderr, results to stdout or --out files. Exit codes:
-0 success, 1 usage error, 2 data error, 3 model-file error.
+0 success, 1 usage error, 2 data error (DataError), 3 model-file error
+(ModelStoreError).
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from .dataset import (
     map_labels,
     subsample_stratified,
 )
-from .errors import FlowSentinelError, ModelStoreError, ValidationError
+from .errors import DataError, FlowSentinelError, ModelStoreError
 from .pipeline import (
     apply_standardizer,
     encode_labels,
     fit_standardizer,
     stratified_split,
 )
-from .store import ModelMetadata, load_model, save_model
+from .store import ModelMetadata, check_model_dir, load_model, save_model
 from .tensor import Tensor
 from .trainer import (
     ArchitectureConfig,
@@ -163,13 +164,13 @@ def _cmd_train(args) -> None:
     taxonomy = _load_taxonomy(args)
     ds = load_csv(args.data, args.label_column)
     if ds.sample_count == 0:
-        raise ValidationError(f"{args.data}: no samples to train on")
+        raise DataError(f"{args.data}: no samples to train on")
     if args.limit_per_class is not None:
         ds = subsample_stratified(ds, args.limit_per_class, cfg.seed)
     mapped = map_labels(ds.raw_labels, taxonomy, args.task)
     label_map, class_idx = encode_labels(mapped)
     if len(label_map) < 2:
-        raise ValidationError(
+        raise DataError(
             f"{args.data}: task {args.task} maps every row to the one class "
             f"{label_map[0]!r}; training needs at least 2 classes"
         )
@@ -183,6 +184,7 @@ def _cmd_train(args) -> None:
         feature_count=ds.features.shape[1], class_count=len(label_map)
     )
     model = build_model(arch, np.random.default_rng(cfg.seed))
+    check_model_dir(args.out)  # after the data checks, before the first epoch
 
     def on_epoch(k, n, tl, ta, vl, va):
         print(

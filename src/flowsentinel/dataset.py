@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DatasetError, SchemaError, TaxonomyError, ValidationError
+from .errors import DataError
 from .tensor import Tensor
 
 TASKS = ("binary", "category", "multiclass")
@@ -49,16 +49,16 @@ class Dataset:
 
     def __post_init__(self):
         if self.features.rank != 2:
-            raise ValidationError(
+            raise DataError(
                 f"dataset features must be rank 2, got {self.features.shape}"
             )
         if self.features.shape[0] != len(self.raw_labels):
-            raise ValidationError(
+            raise DataError(
                 f"{self.features.shape[0]} feature rows vs "
                 f"{len(self.raw_labels)} labels"
             )
         if self.features.shape[1] != len(self.feature_names):
-            raise ValidationError(
+            raise DataError(
                 f"{self.features.shape[1]} feature columns vs "
                 f"{len(self.feature_names)} names"
             )
@@ -89,11 +89,11 @@ class Taxonomy:
     def __post_init__(self):
         for rule in self.rules:
             if rule.kind not in _RULE_KINDS:
-                raise TaxonomyError(
+                raise DataError(
                     f"unknown rule kind {rule.kind!r}; expected one of {_RULE_KINDS}"
                 )
             if not (isinstance(rule.pattern, str) and isinstance(rule.category, str)):
-                raise TaxonomyError(f"rule pattern and category must be strings: {rule}")
+                raise DataError(f"rule pattern and category must be strings: {rule}")
 
     def category_of(self, label: str) -> str | None:
         for rule in self.rules:
@@ -127,25 +127,19 @@ def load_taxonomy(path: str) -> Taxonomy:
                     continue
                 parts = line.split(",", 2)
                 if len(parts) != 3:
-                    raise TaxonomyError(
-                        f"{path}:{lineno}: expected kind,pattern,category"
-                    )
+                    raise DataError(f"{path}:{lineno}: expected kind,pattern,category")
                 kind, pattern, category = (p.strip() for p in parts)
                 if kind not in _RULE_KINDS:
-                    raise TaxonomyError(
-                        f"{path}:{lineno}: unknown rule kind {kind!r}"
-                    )
+                    raise DataError(f"{path}:{lineno}: unknown rule kind {kind!r}")
                 if not pattern or not category:
-                    raise TaxonomyError(
-                        f"{path}:{lineno}: empty pattern or category"
-                    )
+                    raise DataError(f"{path}:{lineno}: empty pattern or category")
                 rules.append(TaxonomyRule(kind, pattern, category))
     except OSError as exc:
-        raise TaxonomyError(f"cannot read taxonomy file: {exc}") from exc
+        raise DataError(f"cannot read taxonomy file: {exc}") from exc
     except UnicodeDecodeError:
-        raise TaxonomyError(_undecodable(path)) from None
+        raise DataError(_undecodable(path)) from None
     if not rules:
-        raise TaxonomyError(f"{path}: no rules found")
+        raise DataError(f"{path}: no rules found")
     return Taxonomy(rules=rules)
 
 
@@ -211,7 +205,7 @@ def _read_csv(path: str, select: _Select) -> tuple[list[str], np.ndarray, list[s
     """Stream a CSV in blocks of `_BLOCK_ROWS` rows into float64 features.
 
     `select(header)` returns the feature column indices and the label column
-    index (None for no labels), or raises SchemaError. Returns the feature
+    index (None for no labels), or raises DataError. Returns the feature
     names, the (rows, features) array and the labels. No block's row
     strings outlive it. The whole file is read before a fault in its content
     is raised, so the one reported is, by precedence: a read error, an empty
@@ -225,11 +219,11 @@ def _read_csv(path: str, select: _Select) -> tuple[list[str], np.ndarray, list[s
             try:
                 return _read_blocks(path, reader, select)
             except csv.Error as exc:
-                raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError:
-        raise DatasetError(_undecodable(path)) from None
+        raise DataError(_undecodable(path)) from None
 
 
 def _read_blocks(
@@ -238,12 +232,12 @@ def _read_blocks(
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaError(f"{path}: file is empty, header row required") from None
+        raise DataError(f"{path}: file is empty, header row required") from None
     duplicate = len(set(header)) != len(header)
     try:
         columns, label_j = select(header)
         rejected = None
-    except SchemaError as exc:
+    except DataError as exc:
         columns, label_j, rejected = [], None, exc
     width = len(header)
     ragged: list[str] = []
@@ -273,16 +267,16 @@ def _read_blocks(
                     labels += map(itemgetter(label_j), block)
         row0 += len(block)
     if duplicate:
-        raise SchemaError(f"{path}: duplicate column names in header")
+        raise DataError(f"{path}: duplicate column names in header")
     if ragged:
-        raise DatasetError(
+        raise DataError(
             f"{path}: rows with wrong field count rejected: rows "
             + _listing(ragged, ", ")
         )
     if rejected:
         raise rejected
     if bad:
-        raise DatasetError(
+        raise DataError(
             f"{path}: non-finite or unparsable feature values rejected at "
             + _listing(bad, "; ")
         )
@@ -293,7 +287,7 @@ def _read_blocks(
 def _named_columns(path: str, header: list[str], names: Sequence[str]) -> list[int]:
     missing = [name for name in names if name not in header]
     if missing:
-        raise SchemaError(
+        raise DataError(
             f"{path}: missing feature columns {missing}; header has {header}"
         )
     return [header.index(name) for name in names]
@@ -313,7 +307,7 @@ def load_csv(
 
     def select(header: list[str]) -> tuple[list[int], int]:
         if label_column not in header:
-            raise SchemaError(
+            raise DataError(
                 f"{path}: label column {label_column!r} not in header "
                 f"{header}"
             )
@@ -350,7 +344,7 @@ def map_labels(
 ) -> list[str]:
     """Project raw labels onto one of the three classification tasks."""
     if task not in TASKS:
-        raise ValidationError(f"unknown task {task!r}; expected one of {TASKS}")
+        raise DataError(f"unknown task {task!r}; expected one of {TASKS}")
     categories: dict[str, str] = {}
     unmatched = []
     for label in dict.fromkeys(raw_labels):  # distinct, first-seen order
@@ -360,7 +354,7 @@ def map_labels(
         else:
             categories[label] = cat
     if unmatched:
-        raise TaxonomyError(
+        raise DataError(
             "labels not covered by the taxonomy: " + ", ".join(sorted(unmatched))
         )
     if task == "multiclass":
@@ -377,7 +371,7 @@ def map_labels(
 def subsample_stratified(ds: Dataset, per_class_cap: int, seed: int) -> Dataset:
     """Keep at most per_class_cap rows of each raw class, seeded shuffle."""
     if per_class_cap < 1:
-        raise ValidationError(f"per_class_cap must be >= 1, got {per_class_cap}")
+        raise DataError(f"per_class_cap must be >= 1, got {per_class_cap}")
     by_class: dict[str, list[int]] = {}
     for i, label in enumerate(ds.raw_labels):
         by_class.setdefault(label, []).append(i)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DataError
 
 
 @dataclass
@@ -87,15 +87,13 @@ def confusion_matrix(
     true_idx: Sequence[int], pred_idx: Sequence[int], num_classes: int
 ) -> np.ndarray:
     if len(true_idx) != len(pred_idx):
-        raise ValidationError(
-            f"{len(true_idx)} true labels vs {len(pred_idx)} predictions"
-        )
+        raise DataError(f"{len(true_idx)} true labels vs {len(pred_idx)} predictions")
     t = np.asarray(true_idx, dtype=np.int64).reshape(-1)
     p = np.asarray(pred_idx, dtype=np.int64).reshape(-1)
     if t.size and (
         t.min() < 0 or t.max() >= num_classes or p.min() < 0 or p.max() >= num_classes
     ):
-        raise ValidationError(f"class index out of range [0, {num_classes})")
+        raise DataError(f"class index out of range [0, {num_classes})")
     m = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(m, (t, p), 1)
     return m
@@ -113,12 +111,12 @@ def classification_report(
     confusion = np.asarray(confusion, dtype=np.int64)
     c = len(class_names)
     if confusion.shape != (c, c):
-        raise ValidationError(
+        raise DataError(
             f"confusion matrix {confusion.shape} does not match "
             f"{c} class names"
         )
     if confusion.size and confusion.min() < 0:
-        raise ValidationError("confusion matrix entries must be non-negative")
+        raise DataError("confusion matrix entries must be non-negative")
     total = int(confusion.sum())
     col_sums = confusion.sum(axis=0)
     row_sums = confusion.sum(axis=1)

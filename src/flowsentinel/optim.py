@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DataError
 from .layers import softmax
 
 # Probabilities are clipped at this floor inside the loss so a confident
@@ -54,18 +54,14 @@ def class_indices(
     """
     targets = np.asarray(targets)
     if targets.shape != (samples,):
-        raise DimensionError(
-            f"targets {targets.shape} must be ({samples},) class indices"
-        )
+        raise DataError(f"targets {targets.shape} must be ({samples},) class indices")
     if targets.dtype.kind not in "iu":
-        raise ValidationError(
+        raise DataError(
             f"targets must be integer class indices, got dtype {targets.dtype}"
         )
     if samples and not (targets.min() >= 0 and targets.max() < classes):
         bad = targets[(targets < 0) | (targets >= classes)][0]
-        raise ValidationError(
-            f"class index {bad} out of range for {classes} classes"
-        )
+        raise DataError(f"class index {bad} out of range for {classes} classes")
     return targets
 
 
@@ -81,9 +77,7 @@ def softmax_ce_grad(
     1 at the target alone gives the same bits, as p - 0 == p.
     """
     if logits.ndim != 2:
-        raise DimensionError(
-            f"logits must be (samples, classes), got {logits.shape}"
-        )
+        raise DataError(f"logits must be (samples, classes), got {logits.shape}")
     targets = class_indices(targets, *logits.shape)
     probs = softmax(logits)
     rows = np.arange(len(targets))
@@ -98,7 +92,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
     """One Adam update; mutates state and returns the new parameters as a new
     array. `params` itself is never written to."""
     if params.shape != state.shape or grads.shape != state.shape:
-        raise DimensionError(
+        raise DataError(
             f"params {params.shape} / grads {grads.shape} do not match "
             f"optimizer state {state.shape}"
         )
@@ -117,7 +111,7 @@ def glorot_uniform_init(
     """I.i.d. uniform on [-b, b] with b = sqrt(6 / (fan_in + fan_out)), as a
     new writable array."""
     if fan_in <= 0 or fan_out <= 0:
-        raise ValidationError(
+        raise DataError(
             f"fans must be positive, got fan_in={fan_in}, fan_out={fan_out}"
         )
     bound = math.sqrt(6.0 / (fan_in + fan_out))

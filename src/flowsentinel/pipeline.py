@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import TASKS
-from .errors import ValidationError
+from .errors import DataError
 from .tensor import Tensor
 
 # Below this, a feature's spread is treated as zero and its std is stored
@@ -37,19 +37,19 @@ class PreprocState:
         self.stds = np.asarray(self.stds, dtype=np.float64)
         self.degenerate = np.asarray(self.degenerate, dtype=bool)
         if not len(self.means) == len(self.stds) == len(self.degenerate):
-            raise ValidationError("preprocessing state arrays disagree on feature count")
+            raise DataError("preprocessing state arrays disagree on feature count")
         if self.task not in TASKS:
-            raise ValidationError(f"unknown task {self.task!r}; expected one of {TASKS}")
+            raise DataError(f"unknown task {self.task!r}; expected one of {TASKS}")
         bad = ~(np.isfinite(self.means) & np.isfinite(self.stds))
         if bad.any():
-            raise ValidationError(
+            raise DataError(
                 f"feature {int(np.argmax(bad)) + 1}: standardizer mean or std "
                 "is not finite (values too large to standardize)"
             )
         if np.any(self.stds <= 0.0):
-            raise ValidationError("stored stds must all be positive")
+            raise DataError("stored stds must all be positive")
         if len(set(self.label_map)) != len(self.label_map):
-            raise ValidationError("label map contains duplicates")
+            raise DataError("label map contains duplicates")
 
 
 @dataclass
@@ -61,7 +61,7 @@ class SplitIndices:
 def encode_labels(raw_labels: Sequence[str]) -> tuple[list[str], list[int]]:
     """Map labels to ids by lexicographic order of the distinct labels."""
     if len(raw_labels) == 0:
-        raise ValidationError("cannot encode an empty label list")
+        raise DataError("cannot encode an empty label list")
     label_map = sorted(set(raw_labels))
     index = {label: i for i, label in enumerate(label_map)}
     return label_map, [index[label] for label in raw_labels]
@@ -74,10 +74,10 @@ def fit_standardizer(
 ) -> PreprocState:
     """Per-feature mean and population std (divide by N) from training rows."""
     if features.rank != 2:
-        raise ValidationError(f"features must be rank 2, got {features.shape}")
+        raise DataError(f"features must be rank 2, got {features.shape}")
     n = features.shape[0]
     if n < 1:
-        raise ValidationError("cannot fit a standardizer on zero samples")
+        raise DataError("cannot fit a standardizer on zero samples")
     x = features.array
     means = x.mean(axis=0)
     stds = np.sqrt(((x - means) ** 2).mean(axis=0))
@@ -95,16 +95,16 @@ def fit_standardizer(
 def apply_standardizer(state: PreprocState, features: Tensor) -> Tensor:
     """(x - mean) / std per feature, with a trailing unit channel axis."""
     if features.rank != 2:
-        raise ValidationError(f"features must be rank 2, got {features.shape}")
+        raise DataError(f"features must be rank 2, got {features.shape}")
     if features.shape[1] != len(state.means):
-        raise ValidationError(
+        raise DataError(
             f"feature count mismatch: standardizer expects "
             f"{len(state.means)}, got {features.shape[1]}"
         )
     z = (features.array - state.means) / state.stds
     if not np.isfinite(z).all():
         sample, feature = np.argwhere(~np.isfinite(z))[0]
-        raise ValidationError(
+        raise DataError(
             f"sample {sample + 1}, feature {feature + 1}: standardized value "
             "is not finite (too far outside the training range)"
         )
@@ -116,11 +116,9 @@ def stratified_split(
 ) -> SplitIndices:
     """Seeded per-class split; round-half-up, never emptying a class's train side."""
     if len(class_indices) == 0:
-        raise ValidationError("cannot split an empty index list")
+        raise DataError("cannot split an empty index list")
     if not 0.0 < val_fraction < 1.0:
-        raise ValidationError(
-            f"val_fraction must be in (0, 1), got {val_fraction}"
-        )
+        raise DataError(f"val_fraction must be in (0, 1), got {val_fraction}")
     by_class: dict[int, list[int]] = {}
     for i, c in enumerate(class_indices):
         by_class.setdefault(int(c), []).append(i)

@@ -18,16 +18,18 @@ value finite. save_model runs the same table check before it writes.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
+import stat
 import tempfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .dataset import BINARY_POSITIVE, Taxonomy, TaxonomyRule
-from .errors import ConfigurationError, ModelStoreError, ValidationError
+from .errors import DataError, ModelStoreError
 from .pipeline import PreprocState
 from .trainer import STACK, ArchitectureConfig, ModelParams, TrainConfig, param_shapes
 
@@ -52,16 +54,16 @@ class ModelMetadata:
 
     def __post_init__(self):
         if not (isinstance(self.label_column, str) and isinstance(self.source, str)):
-            raise ValidationError("label_column and source must be strings")
+            raise DataError("label_column and source must be strings")
         if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
                    for n in (self.epochs_run, self.best_epoch)):
-            raise ValidationError("epochs_run and best_epoch must be integers >= 0")
+            raise DataError("epochs_run and best_epoch must be integers >= 0")
         if not isinstance(self.final_metrics, dict) or not all(
             isinstance(k, str) and (v is None or isinstance(v, (int, float))
                                     and not isinstance(v, bool))
             for k, v in self.final_metrics.items()
         ):
-            raise ValidationError("final_metrics must map names to numbers or null")
+            raise DataError("final_metrics must map names to numbers or null")
 
 
 def _directory(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
@@ -149,10 +151,26 @@ def save_model(
         os.replace(tmp_path, path)
         tmp_path = None
     except OSError as exc:
-        raise ModelStoreError(f"cannot write model file {path}: {exc}") from exc
+        raise _cannot_write(path, exc.strerror) from exc
     finally:
         if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+
+
+def check_model_dir(path: str) -> None:
+    """Raise save_model's error for `path` now if its directory is not one,
+    so that a long run does not end in it."""
+    try:
+        mode = os.stat(os.path.dirname(os.path.abspath(path))).st_mode
+    except OSError as exc:
+        raise _cannot_write(path, exc.strerror) from exc
+    if not stat.S_ISDIR(mode):
+        raise _cannot_write(path, os.strerror(errno.ENOTDIR))
+
+
+def _cannot_write(path: str, reason: str) -> ModelStoreError:
+    # the OS reason alone: the OSError itself may name the random temp file
+    return ModelStoreError(f"cannot write model file {path}: {reason}")
 
 
 def load_model(
@@ -202,7 +220,7 @@ def load_model(
                                       f"{size}, got {json.dumps(block[name])}")
         try:
             arch = ArchitectureConfig(block["feature_count"], block["class_count"])
-        except ConfigurationError as exc:
+        except DataError as exc:
             raise ModelStoreError(f"{path}: architecture.{exc}") from exc
         entries = _check_directory(path, arch, header["tensors"])
         expected_total = sum(entry["byte_length"] for entry in entries)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DataError
 
 MAX_RANK = 3
 
@@ -28,16 +28,12 @@ class Tensor:
         if shape is not None:
             shape = tuple(int(d) for d in shape)
             if array.size != math.prod(shape):
-                raise DimensionError(
-                    f"cannot shape {array.size} values into {shape}"
-                )
+                raise DataError(f"cannot shape {array.size} values into {shape}")
             array = array.reshape(shape)
         if array.ndim < 1 or array.ndim > MAX_RANK:
-            raise DimensionError(
-                f"rank must be 1..{MAX_RANK}, got shape {array.shape}"
-            )
+            raise DataError(f"rank must be 1..{MAX_RANK}, got shape {array.shape}")
         if array.size and not np.all(np.isfinite(array)):
-            raise ValidationError("tensor values must be finite (no NaN/Inf)")
+            raise DataError("tensor values must be finite (no NaN/Inf)")
         array.flags.writeable = False
         self._array = array
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import layers as L
 from .dataset import Dataset, Taxonomy, map_labels
-from .errors import ConfigurationError, DimensionError, ValidationError
+from .errors import DataError
 from .metrics import EvalReport, classification_report, confusion_matrix
 from .optim import (
     DEFAULT_LR, AdamState, adam_step, class_indices, glorot_uniform_init,
@@ -50,10 +50,10 @@ class ArchitectureConfig:
         for name in ("feature_count", "class_count"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+                raise DataError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # numpy ints as plain ints
         if self.class_count < 2:
-            raise ConfigurationError(f"class_count must be >= 2, got {self.class_count}")
+            raise DataError(f"class_count must be >= 2, got {self.class_count}")
         shape_chain(self)  # raises if feature_count cannot flow through
 
 
@@ -69,8 +69,8 @@ def shape_chain(arch: ArchitectureConfig) -> list[int]:
     a final length of 1 gives the smallest workable F, (1*2 + 2)*2 + 2 = 10.
     """
     if arch.feature_count < 10:
-        raise ConfigurationError(f"feature_count {arch.feature_count} is too "
-                                 "small for the conv/pool stack; minimum is 10")
+        raise DataError(f"feature_count {arch.feature_count} is too "
+                        "small for the conv/pool stack; minimum is 10")
     k, pool = STACK["kernel_size"], STACK["pool_size"]
     conv1 = arch.feature_count - k + 1
     conv2 = conv1 // pool - k + 1
@@ -115,21 +115,17 @@ class TrainConfig:
         for name, value in vars(self).items():
             if name in ("lr", "val_fraction"):
                 if isinstance(value, bool) or not isinstance(value, Real):
-                    raise ValidationError(f"{name} must be a number, got {value!r}")
+                    raise DataError(f"{name} must be a number, got {value!r}")
                 continue
             if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+                raise DataError(f"{name} must be an integer, got {value!r}")
             minimum = 1 if name in ("epochs", "batch_size") else 0
             if value < minimum:
-                raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+                raise DataError(f"{name} must be >= {minimum}, got {value}")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValidationError(
-                f"lr must be a finite number > 0, got {self.lr}"
-            )
+            raise DataError(f"lr must be a finite number > 0, got {self.lr}")
         if not 0.0 < self.val_fraction < 1.0:
-            raise ValidationError(
-                f"val_fraction must be in (0, 1), got {self.val_fraction}"
-            )
+            raise DataError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
 
 
 @dataclass
@@ -266,16 +262,16 @@ def train(
     """Mini-batch training with per-epoch validation monitoring.
 
     Features must already be standardized and shaped (samples,
-    arch.feature_count, 1), else DimensionError; labels are one integer
+    arch.feature_count, 1), else DataError; labels are one integer
     class index per sample, below class_count. With
     early_stop_patience > 0, training stops after that many consecutive
     epochs without a validation loss improvement and the best epoch's
     parameters are restored. A batch whose loss or updated parameters are
-    not finite raises ValidationError naming its epoch and batch.
+    not finite raises DataError naming its epoch and batch.
     """
     width = model.arch.feature_count
     if dataset_features.shape[1:] != (width, 1):
-        raise DimensionError(
+        raise DataError(
             f"features must be (samples, {width}, 1), got {dataset_features.shape}"
         )
     x3 = dataset_features.array
@@ -283,11 +279,9 @@ def train(
     train_idx = list(split.train_indices)
     val_idx = list(split.val_indices)
     if not train_idx:
-        raise ValidationError("training set is empty")
+        raise DataError("training set is empty")
     if cfg.early_stop_patience > 0 and not val_idx:
-        raise ValidationError(
-            "early stopping needs a non-empty validation split"
-        )
+        raise DataError("early stopping needs a non-empty validation split")
 
     states = {
         name: AdamState(shape=p.shape, lr=cfg.lr) for name, p in model.params.items()
@@ -346,8 +340,8 @@ def train(
     return model, history
 
 
-def _diverged(epoch: int, batch: int, what: str) -> ValidationError:
-    return ValidationError(
+def _diverged(epoch: int, batch: int, what: str) -> DataError:
+    return DataError(
         f"training diverged at epoch {epoch + 1}, batch {batch}: {what} is "
         "not finite (try a smaller learning rate)"
     )
@@ -364,9 +358,7 @@ def predict(
         logits, _ = forward(model, x3[start : start + EVAL_CHUNK])
         if not np.isfinite(logits).all():
             sample = start + int(np.argmax(~np.isfinite(logits).all(axis=1)))
-            raise ValidationError(
-                f"sample {sample + 1}: the model's outputs are not finite"
-            )
+            raise DataError(f"sample {sample + 1}: the model's outputs are not finite")
         probs[start : start + len(logits)] = L.softmax(logits)
         pred.extend(np.argmax(logits, axis=1).tolist())
     return pred, Tensor._wrap(probs)
@@ -381,17 +373,17 @@ def evaluate(
     """Map labels for the model's task, predict, and build the metrics
     report."""
     if len(preproc.label_map) != model.arch.class_count:
-        raise ConfigurationError(
+        raise DataError(
             f"label map has {len(preproc.label_map)} classes but the model "
             f"outputs {model.arch.class_count}"
         )
     if dataset.sample_count == 0:
-        raise ValidationError("evaluation set is empty")
+        raise DataError("evaluation set is empty")
     mapped = map_labels(dataset.raw_labels, taxonomy, preproc.task)
     index = {name: i for i, name in enumerate(preproc.label_map)}
     unknown = sorted({m for m in mapped if m not in index})
     if unknown:
-        raise ValidationError(
+        raise DataError(
             f"labels absent from the trained class map: {', '.join(unknown)}"
         )
     true_idx = [index[m] for m in mapped]

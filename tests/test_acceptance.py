@@ -46,7 +46,7 @@ from flowsentinel.trainer import (
     predict,
     train,
 )
-from flowsentinel.errors import ConfigurationError
+from flowsentinel.errors import DataError
 
 from conftest import gaussian_blobs, write_flow_csv
 from oracles import (
@@ -201,7 +201,7 @@ def test_criterion_4_shape_chain():
         model = build_model(arch, np.random.default_rng(0))
         assert model.params["dense1.weights"].shape == (128, 128)
         assert model.params["output.weights"].shape == (3, 128)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DataError, match="feature_count 7 is too small"):
             ArchitectureConfig(feature_count=7, class_count=3)
 
 

@@ -525,6 +525,24 @@ def test_unwritable_out_path_is_data_error(flow_csv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_out_dir_is_checked_before_the_first_epoch(flow_csv, tmp_path, capsys,
+                                                         recwarn):
+    for out, reason in ((tmp_path / "no" / "m.fsnt", "No such file or directory"),
+                        (Path(flow_csv) / "m.fsnt", "Not a directory")):
+        errs = []
+        for _ in range(2):
+            assert run(["train", "--data", flow_csv, "--epochs", "2",
+                        "--out", str(out)]) == 3
+            captured = capsys.readouterr()
+            _assert_one_error_line(captured, recwarn)
+            assert "epoch" not in captured.err
+            errs.append(captured.err)
+        assert errs == [f"error: cannot write model file {out}: {reason}\n"] * 2
+    bad = tmp_path / "bad.csv"
+    bad.write_text("f1,label\nNaN,Benign\n", encoding="utf-8")
+    assert run(["train", "--data", str(bad), "--out", str(out)]) == 2  # CSV first
+
+
 def test_all_three_tasks_over_full_taxonomy(tmp_path, capsys):
     raw = ("Benign", "DDoS-TCP_Flood", "DDoS-UDP_Flood", "DoS-SYN_Flood",
            "MQTT-DDoS-Publish_Flood", "MQTT-Malformed_Data",

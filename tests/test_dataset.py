@@ -19,12 +19,7 @@ from flowsentinel.dataset import (
     map_labels,
     subsample_stratified,
 )
-from flowsentinel.errors import (
-    DatasetError,
-    SchemaError,
-    TaxonomyError,
-    ValidationError,
-)
+from flowsentinel.errors import DataError
 from flowsentinel.tensor import Tensor
 
 
@@ -40,7 +35,7 @@ def test_load_csv_minimal(tiny_csv):
 def test_load_csv_nan_cell_names_row_and_column(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("f1,f2,label\nNaN,2,Benign\n", encoding="utf-8")
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(DataError, match="non-finite or unparsable") as err:
         load_csv(str(p))
     assert "row 1" in str(err.value)
     assert "f1" in str(err.value)
@@ -49,7 +44,7 @@ def test_load_csv_nan_cell_names_row_and_column(tmp_path):
 def test_load_csv_unparsable_cell(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("f1,f2,label\n1,2,Benign\n3,abc,DoS\n", encoding="utf-8")
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(DataError, match="non-finite or unparsable") as err:
         load_csv(str(p))
     assert "row 2" in str(err.value)
     assert "f2" in str(err.value)
@@ -64,12 +59,12 @@ def test_load_csv_empty_after_header(tmp_path):
 
 
 def test_load_csv_missing_file(tmp_path):
-    with pytest.raises(DatasetError):
+    with pytest.raises(DataError, match="cannot read "):
         load_csv(str(tmp_path / "nope.csv"))
 
 
 def test_load_csv_missing_label_column(tiny_csv):
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(DataError, match="label column 'attack' not in header") as err:
         load_csv(tiny_csv, label_column="attack")
     assert "attack" in str(err.value)
 
@@ -77,14 +72,14 @@ def test_load_csv_missing_label_column(tiny_csv):
 def test_load_csv_duplicate_header(tmp_path):
     p = tmp_path / "dup.csv"
     p.write_text("f1,f1,label\n1,2,Benign\n", encoding="utf-8")
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match="duplicate column names in header"):
         load_csv(str(p))
 
 
 def test_load_csv_short_row(tmp_path):
     p = tmp_path / "short.csv"
     p.write_text("f1,f2,label\n1,Benign\n", encoding="utf-8")
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(DataError, match="wrong field count") as err:
         load_csv(str(p))
     assert "rows 1" in str(err.value)
 
@@ -134,13 +129,13 @@ def test_map_labels_all_tasks():
 
 
 def test_map_labels_unmatched_label():
-    with pytest.raises(TaxonomyError) as err:
+    with pytest.raises(DataError, match="not covered by the taxonomy") as err:
         map_labels(["Benign", "Weird-Thing"], default_taxonomy(), "category")
     assert "Weird-Thing" in str(err.value)
 
 
 def test_map_labels_unknown_task():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="unknown task 'sixway'"):
         map_labels(["Benign"], default_taxonomy(), "sixway")
 
 
@@ -172,12 +167,12 @@ def test_taxonomy_file_round_trip(tmp_path):
 def test_taxonomy_file_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("glob,Benign,Benign\n", encoding="utf-8")
-    with pytest.raises(TaxonomyError):
+    with pytest.raises(DataError, match="unknown rule kind 'glob'"):
         load_taxonomy(str(p))
     p.write_text("exact,Benign\n", encoding="utf-8")
-    with pytest.raises(TaxonomyError):
+    with pytest.raises(DataError, match="expected kind,pattern,category"):
         load_taxonomy(str(p))
-    with pytest.raises(TaxonomyError):
+    with pytest.raises(DataError, match="cannot read taxonomy file"):
         load_taxonomy(str(tmp_path / "missing.txt"))
 
 
@@ -214,7 +209,7 @@ def test_subsample_deterministic():
 
 
 def test_subsample_rejects_bad_cap():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="per_class_cap must be >= 1, got 0"):
         subsample_stratified(_dataset(["A"]), 0, seed=1)
 
 
@@ -225,7 +220,7 @@ def test_select_features_reorders(tmp_path):
     assert out.feature_names == ["b", "a"]
     assert out.features.array.tolist() == [[2.0, 1.0], [4.0, 3.0]]
     assert out.raw_labels == ["X", "Y"]
-    with pytest.raises(SchemaError, match="missing feature columns"):
+    with pytest.raises(DataError, match="missing feature columns"):
         load_csv(str(p), feature_names=["a", "missing"])
 
 
@@ -234,7 +229,7 @@ def test_load_feature_matrix_ignores_labels(tmp_path):
     p.write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
     t = load_feature_matrix(str(p), ["b", "a"])
     assert t.array.tolist() == [[2.0, 1.0], [4.0, 3.0]]
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match=r"missing feature columns \['c'\]"):
         load_feature_matrix(str(p), ["a", "c"])
 
 
@@ -251,7 +246,7 @@ def test_bad_cell_listing_marks_only_a_real_truncation(tmp_path, offenders,
                                                        marked):
     rows = [["x", "1", "L"]] * offenders + [["1", "2", "L"]]
     p = _write_rows(tmp_path / "bad.csv", ["a", "b", "label"], rows)
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(DataError, match="non-finite or unparsable") as err:
         load_csv(p)
     listed = str(err.value).split("rejected at ", 1)[1]
     assert listed.startswith("; ".join(f"row {r}, column a" for r in range(1, 9)))
@@ -264,7 +259,7 @@ def test_ragged_listing_marks_only_a_real_truncation(tmp_path, offenders,
                                                      marked):
     rows = [["1", "L"]] * offenders + [["1", "2", "L"]]
     p = _write_rows(tmp_path / "ragged.csv", ["a", "b", "label"], rows)
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(DataError, match="wrong field count") as err:
         load_csv(p)
     listed = str(err.value).split("rejected: rows ", 1)[1]
     assert listed == "1, 2, 3, 4, 5, 6, 7, 8" + (", ..." if marked else "")
@@ -284,12 +279,12 @@ def test_blocks_number_rows_across_the_file(tmp_path, small_blocks):
     rows = _good_rows(10)
     rows[7][1] = "nan"
     p = _write_rows(tmp_path / "late.csv", ["a", "b", "label"], rows)
-    with pytest.raises(DatasetError, match=r"rejected at row 8, column b$"):
+    with pytest.raises(DataError, match=r"rejected at row 8, column b$"):
         load_csv(p)
     rows[7][1] = "1"
     rows[8] = ["1", "L"]
     p = _write_rows(tmp_path / "late.csv", ["a", "b", "label"], rows)
-    with pytest.raises(DatasetError, match=r"field count rejected: rows 9$"):
+    with pytest.raises(DataError, match=r"field count rejected: rows 9$"):
         load_csv(p)
 
 
@@ -298,23 +293,22 @@ def test_late_ragged_row_outranks_label_and_cells(tmp_path, small_blocks):
     rows[0][0] = "abc"
     rows[9] = ["1", "2", "L", "extra"]
     p = _write_rows(tmp_path / "mixed.csv", ["a", "b", "label"], rows)
-    with pytest.raises(DatasetError, match=r"rows 10$"):
+    with pytest.raises(DataError, match=r"rows 10$"):
         load_csv(p)
-    with pytest.raises(DatasetError, match=r"rows 10$") as err:
+    with pytest.raises(DataError, match=r"rows 10$"):
         load_csv(p, label_column="attack")
-    assert not isinstance(err.value, SchemaError)
     rows[9] = ["1", "2", "L"]
     p = _write_rows(tmp_path / "mixed.csv", ["a", "b", "label"], rows)
-    with pytest.raises(SchemaError, match="label column 'attack'"):
+    with pytest.raises(DataError, match="label column 'attack'"):
         load_csv(p, label_column="attack")
-    with pytest.raises(DatasetError, match=r"at row 1, column a$"):
+    with pytest.raises(DataError, match=r"at row 1, column a$"):
         load_csv(p)
 
 
 def test_bad_cell_cap_holds_across_blocks(tmp_path, small_blocks):
     rows = [[str(r), "inf" if r % 2 else "1", "L"] for r in range(30)]
     p = _write_rows(tmp_path / "many.csv", ["a", "b", "label"], rows)
-    with pytest.raises(DatasetError) as err:
+    with pytest.raises(DataError, match="non-finite or unparsable") as err:
         load_csv(p)
     listed = str(err.value).split("rejected at ", 1)[1]
     assert listed == "; ".join(f"row {r}, column b" for r in range(2, 17, 2)) + ", ..."
@@ -329,7 +323,7 @@ def test_header_only_and_blank_line_in_blocks(tmp_path, small_blocks):
     assert load_csv(p).features.shape == (4, 0)
     p = tmp_path / "blank.csv"
     p.write_text("a,b,label\n1,2,L\n3,4,L\n5,6,L\n\n7,8,L\n", encoding="utf-8")
-    with pytest.raises(DatasetError, match=r"rows 4$"):
+    with pytest.raises(DataError, match=r"rows 4$"):
         load_csv(str(p))
 
 
@@ -360,18 +354,18 @@ def test_feature_matrix_runs_the_same_checks(tmp_path, small_blocks):
     rows = _good_rows(10)
     rows[5][0] = "x"
     p = _write_rows(tmp_path / "cells.csv", ["a", "b", "label"], rows)
-    with pytest.raises(DatasetError, match=r"at row 6, column a$"):
+    with pytest.raises(DataError, match=r"at row 6, column a$"):
         load_feature_matrix(p, ["b", "a"])
     assert load_feature_matrix(p, ["b"]).array[:, 0].tolist() == [
         r + 0.5 for r in range(10)
     ]
     rows[8] = ["1"]
     p = _write_rows(tmp_path / "cells.csv", ["a", "b", "label"], rows)
-    with pytest.raises(DatasetError, match=r"rows 9$"):
+    with pytest.raises(DataError, match=r"rows 9$"):
         load_feature_matrix(p, ["missing"])
     p = tmp_path / "dup.csv"
     p.write_text("a,a,label\n1,2,L\n3\n", encoding="utf-8")
-    with pytest.raises(SchemaError, match="duplicate column names"):
+    with pytest.raises(DataError, match="duplicate column names"):
         load_feature_matrix(str(p), ["a"])
 
 
@@ -413,7 +407,7 @@ _cell = st.one_of(
 def test_fuzzed_cells_parse_as_float_or_name_the_first_offender(tmp_path_factory,
                                                                 grid):
     """Every cell either loads as exactly float(cell) or the load raises
-    DatasetError naming the first offending cell, across blocks of 2 rows."""
+    DataError naming the first offending cell, across blocks of 2 rows."""
     p = tmp_path_factory.mktemp("fuzz") / "cells.csv"
     with open(p, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([["a", "b", "label", "c"]]
@@ -434,6 +428,6 @@ def test_fuzzed_cells_parse_as_float_or_name_the_first_offender(tmp_path_factory
             got = load_csv(str(p)).features.array
             assert got.tobytes() == np.array(expected).reshape(-1, 3).tobytes()
         else:
-            with pytest.raises(DatasetError) as err:
+            with pytest.raises(DataError, match="non-finite or unparsable") as err:
                 load_csv(str(p))
             assert first + ";" in str(err.value) + ";"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from flowsentinel.errors import ValidationError
+from flowsentinel.errors import DataError
 from flowsentinel.metrics import classification_report, confusion_matrix
 
 
@@ -22,9 +22,9 @@ def test_confusion_matrix_empty():
 
 
 def test_confusion_matrix_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="2 true labels vs 1 predictions"):
         confusion_matrix([0, 1], [0], 2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match=r"class index out of range \[0, 2\)"):
         confusion_matrix([0, 2], [0, 1], 2)
 
 
@@ -61,14 +61,17 @@ def test_report_degenerate_class_zero_rule():
 
 
 def test_report_non_square():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError,
+                       match=r"confusion matrix \(2, 3\) does not match 2 class names"):
         classification_report(np.zeros((2, 3), dtype=int), ["a", "b"])
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError,
+                       match=r"confusion matrix \(2, 2\) does not match 3 class names"):
         classification_report(np.zeros((2, 2), dtype=int), ["a", "b", "c"])
 
 
 def test_report_rejects_negative_counts():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError,
+                       match="confusion matrix entries must be non-negative"):
         classification_report(np.array([[1, -1], [0, 2]]), ["a", "b"])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowsentinel import layers as L
-from flowsentinel.errors import DimensionError, ValidationError
+from flowsentinel.errors import DataError
 from flowsentinel.optim import (
     PROB_FLOOR,
     AdamState,
@@ -42,15 +42,15 @@ def test_cross_entropy_clipping_floor():
 
 
 def test_cross_entropy_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match=r"targets \(2,\) must be \(1,\)"):
         softmax_ce_grad(np.array([[1.0, 0.0]]), np.array([0, 1]))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError, match=r"targets \(1, 2\) must be \(1,\)"):
         softmax_ce_grad(np.array([[1.0, 0.0]]), np.array([[1, 0]]))  # one-hot
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="must be integer class indices"):
         softmax_ce_grad(np.array([[0.5, 0.5]]), np.array([0.0]))  # not integer
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="class index 2 out of range"):
         softmax_ce_grad(np.zeros((2, 2)), np.array([0, 2]))
-    with pytest.raises(ValidationError, match="class index -1"):
+    with pytest.raises(DataError, match="class index -1"):
         softmax_ce_grad(np.zeros((2, 2)), np.array([0, -1]))
 
 
@@ -133,7 +133,8 @@ def test_adam_second_step_constant_gradient():
 
 def test_adam_shape_mismatch():
     state = AdamState(shape=(3,))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DataError,
+                       match=r"params \(2,\) / grads \(2,\) do not match .* \(3,\)"):
         adam_step(state, np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
@@ -167,7 +168,7 @@ def test_glorot_sample_mean_near_zero():
 
 
 def test_glorot_rejects_bad_fans():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="fans must be positive, got fan_in=0"):
         glorot_uniform_init((2,), 0, 3, np.random.default_rng(0))
 
 

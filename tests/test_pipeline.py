@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowsentinel.errors import ValidationError
+from flowsentinel.errors import DataError
 from flowsentinel.pipeline import (
     PreprocState,
     apply_standardizer,
@@ -31,7 +31,7 @@ def test_encode_labels_sorts():
 
 
 def test_encode_labels_empty():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="cannot encode an empty label list"):
         encode_labels([])
 
 
@@ -56,7 +56,7 @@ def test_fit_standardizer_constant_column_guard():
 
 
 def test_fit_standardizer_empty():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="cannot fit a standardizer on zero samples"):
         fit_standardizer(Tensor(np.empty((0, 3))))
 
 
@@ -84,7 +84,7 @@ def test_apply_standardizer_train_columns_are_zscores():
 
 def test_apply_standardizer_feature_count_mismatch():
     state = fit_standardizer(Tensor([[1.0, 2.0], [3.0, 4.0]]))
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(DataError, match="feature count mismatch") as err:
         apply_standardizer(state, Tensor([[1.0, 2.0, 3.0]]))
     assert "2" in str(err.value) and "3" in str(err.value)
 
@@ -92,11 +92,11 @@ def test_apply_standardizer_feature_count_mismatch():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_standardizer_state_must_be_finite():
     # the column sum overflows, so the mean is inf and the std NaN
-    with pytest.raises(ValidationError, match="feature 2: standardizer"):
+    with pytest.raises(DataError, match="feature 2: standardizer"):
         fit_standardizer(Tensor([[1.0, 1.7e308], [3.0, 1.7e308]]))
     for bad in ({"means": [0.0, np.nan]}, {"stds": [1.0, np.inf]}):
         fields = {"means": [0.0, 0.0], "stds": [1.0, 1.0], **bad}
-        with pytest.raises(ValidationError, match="not finite"):
+        with pytest.raises(DataError, match="not finite"):
             PreprocState(degenerate=[False, False], label_map=[], **fields)
 
 
@@ -105,7 +105,7 @@ def test_apply_standardizer_rejects_non_finite_zscores():
     state = PreprocState(means=[0.0, 0.0], stds=[1.0, 1e-300],
                          degenerate=[False, False], label_map=[])
     assert apply_standardizer(state, Tensor([[1.0, 1e-10]])).shape == (1, 2, 1)
-    with pytest.raises(ValidationError, match="sample 2, feature 2"):
+    with pytest.raises(DataError, match="sample 2, feature 2"):
         apply_standardizer(state, Tensor([[1.0, 1e-10], [1.0, 1e10]]))
 
 
@@ -149,9 +149,9 @@ def test_stratified_split_is_partition():
 
 
 def test_stratified_split_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="cannot split an empty index list"):
         stratified_split([], 0.2, seed=0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match=r"val_fraction must be in \(0, 1\), got 0.0"):
         stratified_split([0, 1], 0.0, seed=0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match=r"val_fraction must be in \(0, 1\), got 1.0"):
         stratified_split([0, 1], 1.0, seed=0)

@@ -221,6 +221,14 @@ def test_save_to_directory_is_io_error(saved, tmp_path):
         save_model(str(tmp_path), model, pre, default_taxonomy(), metadata, names)
 
 
+def test_save_into_missing_directory_names_the_target(saved, tmp_path):
+    _, model, pre, metadata, names = saved
+    path = tmp_path / "no" / "m.fsnt"
+    with pytest.raises(ModelStoreError) as err:
+        save_model(str(path), model, pre, default_taxonomy(), metadata, names)
+    assert str(err.value) == f"cannot write model file {path}: No such file or directory"
+
+
 def test_save_refuses_a_table_the_reader_would_refuse(saved, tmp_path):
     _, model, pre, metadata, names = saved
     good = dict(model.params)

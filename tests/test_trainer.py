@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from flowsentinel.dataset import Dataset
-from flowsentinel.errors import (
-    ConfigurationError,
-    DimensionError,
-    FlowSentinelError,
-    ValidationError,
-)
+from flowsentinel.errors import DataError, FlowSentinelError
 from flowsentinel.optim import softmax_ce_grad
 from flowsentinel.pipeline import (
     SplitIndices,
@@ -80,10 +75,10 @@ def test_build_model_f16_shapes():
 
 
 def test_feature_count_too_small_rejected():
-    with pytest.raises(ConfigurationError) as err:
+    with pytest.raises(DataError, match="feature_count 7 is too small") as err:
         ArchitectureConfig(feature_count=7, class_count=3)
     assert "minimum is 10" in str(err.value)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DataError, match="feature_count 9 is too small"):
         ArchitectureConfig(feature_count=9, class_count=3)
     assert flatten_length(ArchitectureConfig(feature_count=10, class_count=2)) == 64
 
@@ -109,7 +104,7 @@ def test_architecture_is_the_papers_stack():
     (16, 0, "class_count must be >= 2, got 0"),
 ])
 def test_architecture_sizes_are_integers(feature_count, class_count, reason):
-    with pytest.raises(ConfigurationError, match=reason):
+    with pytest.raises(DataError, match=reason):
         ArchitectureConfig(feature_count=feature_count, class_count=class_count)
 
 
@@ -128,7 +123,7 @@ def test_architecture_takes_numpy_integers_as_ints():
     ("val_fraction", False, "val_fraction must be a number, got False"),
 ])
 def test_train_config_rejects_wrong_types(field, value, reason):
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(DataError) as err:
         TrainConfig(**{field: value})
     assert str(err.value) == reason
 
@@ -195,15 +190,15 @@ def test_train_validates_inputs():
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
     rng = np.random.default_rng(1)
     x3 = Tensor(rng.standard_normal((4, 16, 1)))
-    with pytest.raises(DimensionError):  # no trailing channel axis
+    with pytest.raises(DataError, match=r"got \(4, 16\)$"):  # no trailing channel axis
         train(model, Tensor(x3.array[:, :, 0]), np.array([0, 1, 2, 0]), cfg,
               SplitIndices(train_indices=[0, 1, 2], val_indices=[3]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="training set is empty"):
         train(model, x3, np.array([0, 1, 2, 0]), cfg,
               split=SplitIndices(train_indices=[], val_indices=[0]))
     # F=17 flattens to the same 128 values as F=16, so only train can tell
     wide = Tensor(rng.standard_normal((4, 17, 1)))
-    with pytest.raises(DimensionError, match=r"\(samples, 16, 1\)"):
+    with pytest.raises(DataError, match=r"\(samples, 16, 1\)"):
         train(model, wide, np.array([0, 1, 2, 0]), cfg,
               SplitIndices(train_indices=[0, 1, 2], val_indices=[3]))
 
@@ -309,7 +304,7 @@ def test_divergence_guard_names_epoch_batch_and_parameter(monkeypatch):
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
     monkeypatch.setattr(trainer_module, "adam_step",
                         lambda state, params, grads: params + np.inf)
-    with pytest.raises(ValidationError,
+    with pytest.raises(DataError,
                        match="epoch 1, batch 1: conv1.weights is not finite"):
         train(model, x3, y, TrainConfig(epochs=2, seed=0), split=split)
 
@@ -318,7 +313,7 @@ def test_early_stopping_requires_validation_samples():
     _, _, _, _, _, _, x3, y = _prepared_blobs(4, seed=5)
     cfg = TrainConfig(epochs=2, early_stop_patience=1)
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="early stopping needs a non-empty validation"):
         train(model, x3, y, cfg,
               split=SplitIndices(train_indices=list(range(12)), val_indices=[]))
 
@@ -369,7 +364,7 @@ def test_predict_rejects_non_finite_outputs():
     pre = fit_standardizer(
         Tensor(np.random.default_rng(1).standard_normal((8, 16)))
     )
-    with pytest.raises(ValidationError, match="sample 1: the model's outputs"):
+    with pytest.raises(DataError, match="sample 1: the model's outputs"):
         predict(model, pre, Tensor(np.random.default_rng(2).standard_normal((4, 16))))
 
 
@@ -390,7 +385,7 @@ def test_evaluate_empty_set_rejected(memorizer):
     model, pre, raw, labels, *_ = memorizer
     ds = Dataset(features=Tensor(np.empty((0, 16))), raw_labels=[], source="mem",
                  feature_names=[f"f{i}" for i in range(16)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(DataError, match="evaluation set is empty"):
         evaluate(model, pre, ds, blob_taxonomy())
 
 
@@ -398,5 +393,5 @@ def test_evaluate_unknown_class_rejected(memorizer):
     model, pre, raw, labels, *_ = memorizer
     ds = Dataset(features=Tensor(raw.array[:2]), raw_labels=["classZ", "class0"],
                  source="mem", feature_names=[f"f{i}" for i in range(16)])
-    with pytest.raises(ValidationError, match="classZ"):
+    with pytest.raises(DataError, match="classZ"):
         evaluate(model, pre, ds, blob_taxonomy())
