@@ -32,7 +32,7 @@ from .pipeline import (
     fit_standardizer,
     stratified_split,
 )
-from .store import ModelMetadata, check_model_dir, load_model, save_model
+from .store import ModelMetadata, check_model_dir, dir_fault, load_model, save_model
 from .tensor import Tensor
 from .trainer import (
     ArchitectureConfig,
@@ -140,6 +140,13 @@ def _load_taxonomy(args):
     return load_taxonomy(args.taxonomy) if args.taxonomy else default_taxonomy()
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an --out whose directory cannot take it before the work that
+    would fill it."""
+    if path and (reason := dir_fault(path)):
+        raise DataError(f"cannot write {path}: {reason}")
+
+
 @contextmanager
 def _output(path: str | None, what: str):
     """Yield the --out file, or stdout when there is none; a written file
@@ -224,6 +231,7 @@ def _cmd_train(args) -> None:
 def _cmd_evaluate(args) -> None:
     model, preproc, taxonomy, metadata, feature_names = load_model(args.model)
     ds = load_csv(args.data, metadata.label_column, feature_names)
+    _check_out(args.out)
     report = evaluate(model, preproc, ds, taxonomy)
     if args.format == "structured":
         text = json.dumps(report.to_dict(), indent=2)
@@ -236,6 +244,7 @@ def _cmd_evaluate(args) -> None:
 def _cmd_predict(args) -> None:
     model, preproc, taxonomy, metadata, feature_names = load_model(args.model)
     features = load_feature_matrix(args.data, feature_names)
+    _check_out(args.out)
     pred_idx, probs = predict(model, preproc, features)
     class_names = preproc.label_map
     header = ["predicted_label"] + [f"prob_{name}" for name in class_names]

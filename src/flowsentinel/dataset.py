@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, islice, repeat
+from operator import contains, itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -198,6 +198,52 @@ def _bad_cells(
                 yield f"row {r}, column {header[j]}"
 
 
+# No plain block holds these: the csv module's quote, NUL, and the four
+# separators \x1c-\x1f, which loadtxt strips around a number as whitespace
+# and `float` does not.
+_NOT_PLAIN = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _parse_plain(
+    lines: list[str], columns: list[int], width: int, limit: int
+) -> np.ndarray | None:
+    """The block's cells in `columns` as a (lines, columns) float64 array,
+    parsed by numpy's C reader; None unless the block is plain and every
+    cell is finite.
+
+    A plain block has none of `_NOT_PLAIN`, no line longer than `limit`, no
+    blank or whitespace-only line, and exactly `width` comma-separated
+    fields on every line. Then each line is one csv record with its fields
+    split at every comma, and loadtxt sees the same cells. It converts each
+    through CPython's string-to-double, as `float` does, so the bits are the
+    same; what it rejects and `float` accepts (`1_0`, non-ASCII digits)
+    makes the block return None.
+    """
+    # Line by line, not on one joined copy: freeing a copy that large makes
+    # glibc serve the kept blocks from its heap, which it may not give back.
+    if (any(any(map(contains, lines, repeat(c))) for c in _NOT_PLAIN)
+            or max(map(len, lines)) > limit
+            or any(map(str.isspace, lines))
+            or set(map(str.count, lines, repeat(","))) != {width - 1}):
+        return None
+    try:
+        # comments=None: with "#", loadtxt would read `5#` as 5
+        values = np.loadtxt(lines, delimiter=",", usecols=columns,
+                            comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _plain_labels(lines: list[str], label_j: int, width: int) -> list[str]:
+    """Field `label_j` of each line of a plain block."""
+    if label_j == width - 1:
+        return [line.rstrip("\r\n").rpartition(",")[2] for line in lines]
+    return [line.split(",", label_j + 1)[label_j] for line in lines]
+
+
 _Select = Callable[[list[str]], tuple[list[int], int | None]]
 
 
@@ -215,11 +261,7 @@ def _read_csv(path: str, select: _Select) -> tuple[list[str], np.ndarray, list[s
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                return _read_blocks(path, reader, select)
-            except csv.Error as exc:
-                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+            return _read_blocks(path, fh, select)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError:
@@ -227,45 +269,68 @@ def _read_csv(path: str, select: _Select) -> tuple[list[str], np.ndarray, list[s
 
 
 def _read_blocks(
-    path: str, reader: Iterator[list[str]], select: _Select
+    path: str, fh: Iterator[str], select: _Select
 ) -> tuple[list[str], np.ndarray, list[str]]:
+    """Blocks of plain lines (see `_parse_plain`) take numpy's C parser.
+    From the first block that does not, the csv module reads the rest of the
+    file, and it alone judges quoting, field counts and bad cells, and
+    words every error."""
+    reader = csv.reader(fh)
+    line0 = 0  # physical lines read before `reader` started
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: file is empty, header row required") from None
-    duplicate = len(set(header)) != len(header)
-    try:
-        columns, label_j = select(header)
-        rejected = None
-    except DataError as exc:
-        columns, label_j, rejected = [], None, exc
-    width = len(header)
-    ragged: list[str] = []
-    bad: list[str] = []
-    blocks: list[np.ndarray] = []
-    labels: list[str] = []
-    row0 = 0
-    while block := list(islice(reader, _BLOCK_ROWS)):
-        if set(map(len, block)) != {width}:
-            ragged += (
-                str(r) for r, row in enumerate(block, start=row0 + 1)
-                if len(row) != width
-            )
-            del ragged[_MAX_REPORTED_CELLS + 1:]
-        # Past a fault that outranks bad cells, or past the cap, only the
-        # field counts and read errors of the remaining rows still matter.
-        if not (duplicate or ragged or rejected or len(bad) > _MAX_REPORTED_CELLS):
-            values = _parse_block(block, columns)
-            if values is None:
-                bad += islice(
-                    _bad_cells(block, columns, header, row0),
-                    _MAX_REPORTED_CELLS + 1 - len(bad),
-                )
-            else:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: file is empty, header row required") from None
+        duplicate = len(set(header)) != len(header)
+        try:
+            columns, label_j = select(header)
+            rejected = None
+        except DataError as exc:
+            columns, label_j, rejected = [], None, exc
+        width = len(header)
+        ragged: list[str] = []
+        bad: list[str] = []
+        blocks: list[np.ndarray] = []
+        labels: list[str] = []
+        row0 = 0
+        if not (duplicate or rejected):
+            line0 = reader.line_num
+            limit = csv.field_size_limit()
+            while lines := list(islice(fh, _BLOCK_ROWS)):
+                values = _parse_plain(lines, columns, width, limit)
+                if values is None:
+                    break
                 blocks.append(values)
                 if label_j is not None:
-                    labels += map(itemgetter(label_j), block)
-        row0 += len(block)
+                    labels += _plain_labels(lines, label_j, width)
+                row0 += len(lines)
+                line0 += len(lines)
+            reader = csv.reader(chain(lines, fh))
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            if set(map(len, block)) != {width}:
+                ragged += (
+                    str(r) for r, row in enumerate(block, start=row0 + 1)
+                    if len(row) != width
+                )
+                del ragged[_MAX_REPORTED_CELLS + 1:]
+            # Past a fault that outranks bad cells, or past the cap, only the
+            # field counts and read errors of the remaining rows still matter.
+            if not (duplicate or ragged or rejected
+                    or len(bad) > _MAX_REPORTED_CELLS):
+                values = _parse_block(block, columns)
+                if values is None:
+                    bad += islice(
+                        _bad_cells(block, columns, header, row0),
+                        _MAX_REPORTED_CELLS + 1 - len(bad),
+                    )
+                else:
+                    blocks.append(values)
+                    if label_j is not None:
+                        labels += map(itemgetter(label_j), block)
+            row0 += len(block)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{line0 + reader.line_num}: {exc}") from None
     if duplicate:
         raise DataError(f"{path}: duplicate column names in header")
     if ragged:

@@ -146,6 +146,8 @@ def save_model(
     tmp_path = None
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".flowsentinel-")
+        # mkstemp makes the file 0600; give it the mode open() would
+        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
         os.replace(tmp_path, path)
@@ -157,15 +159,27 @@ def save_model(
             os.unlink(tmp_path)
 
 
-def check_model_dir(path: str) -> None:
-    """Raise save_model's error for `path` now if its directory is not one,
-    so that a long run does not end in it."""
+def _umask() -> int:
+    mask = os.umask(0o077)  # reading the umask means setting it
+    os.umask(mask)
+    return mask
+
+
+def dir_fault(path: str) -> str | None:
+    """The OS reason a new file cannot be made at `path` because of its
+    directory (missing, or not a directory), or None."""
     try:
         mode = os.stat(os.path.dirname(os.path.abspath(path))).st_mode
     except OSError as exc:
-        raise _cannot_write(path, exc.strerror) from exc
-    if not stat.S_ISDIR(mode):
-        raise _cannot_write(path, os.strerror(errno.ENOTDIR))
+        return exc.strerror
+    return None if stat.S_ISDIR(mode) else os.strerror(errno.ENOTDIR)
+
+
+def check_model_dir(path: str) -> None:
+    """Raise save_model's error for `path` now if its directory is not one,
+    so that a long run does not end in it."""
+    if reason := dir_fault(path):
+        raise _cannot_write(path, reason)
 
 
 def _cannot_write(path: str, reason: str) -> ModelStoreError:

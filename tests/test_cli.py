@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowsentinel import cli
 from flowsentinel.cli import run
 from flowsentinel.dataset import load_csv
 
@@ -523,6 +524,32 @@ def test_unwritable_out_path_is_data_error(flow_csv, tmp_path, capsys):
     assert run(["predict", "--model", model, "--data", flow_csv,
                 "--out", str(missing_dir)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_out_dir_is_checked_before_the_forward_pass(flow_csv, tmp_path, capsys,
+                                                    recwarn, monkeypatch,
+                                                    command):
+    model = _train(flow_csv, tmp_path)
+    capsys.readouterr()
+
+    def no_forward_pass(*args):
+        raise AssertionError("the forward pass ran")
+
+    monkeypatch.setattr(cli, command, no_forward_pass)
+    for out, reason in ((tmp_path / "no" / "out.txt", "No such file or directory"),
+                        (Path(flow_csv) / "out.txt", "Not a directory")):
+        assert run([command, "--model", model, "--data", flow_csv,
+                    "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured, recwarn)
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flows.csv", "model.fsnt"]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("f1,label\nNaN,Benign\n", encoding="utf-8")
+    assert run([command, "--model", model, "--data", str(bad),
+                "--out", str(out)]) == 2  # CSV first
+    assert "cannot write" not in capsys.readouterr().err
 
 
 def test_train_out_dir_is_checked_before_the_first_epoch(flow_csv, tmp_path, capsys,

@@ -431,3 +431,200 @@ def test_fuzzed_cells_parse_as_float_or_name_the_first_offender(tmp_path_factory
             with pytest.raises(DataError, match="non-finite or unparsable") as err:
                 load_csv(str(p))
             assert first + ";" in str(err.value) + ";"
+
+
+def _good_lines(n):
+    return [f"{r},{r + 0.5},L{r}\n" for r in range(n)]
+
+
+def _write_lines(path, lines, header="a,b,label\n"):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "".join(lines))
+    return str(path)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "٣", "1\xa0", " 7\t", "5#", "1,2",
+                                  "nan", "1e999", ""])
+def test_cells_past_plain_blocks_parse_as_float_does(tmp_path, small_blocks,
+                                                     cell):
+    """loadtxt rejects `1_0` and non-ASCII digits, which float accepts; with
+    comments on it would accept `5#`, and with usecols it would drop an
+    extra field. A block holding such a cell after plain ones must load,
+    or fail, exactly as float and the csv module decide."""
+    lines = _good_lines(9)
+    lines[4] = f"4,{cell},L4\n"
+    p = _write_lines(tmp_path / "cell.csv", lines)
+    if "," in cell:
+        with pytest.raises(DataError, match=r"field count rejected: rows 5$"):
+            load_csv(p)
+        return
+    try:
+        expected = float(cell)
+    except ValueError:
+        expected = math.nan
+    if not math.isfinite(expected):
+        with pytest.raises(DataError, match=r"rejected at row 5, column b$"):
+            load_csv(p)
+        return
+    ds = load_csv(p)
+    assert ds.features.array[4].tolist() == [4.0, expected]
+    assert ds.raw_labels == [f"L{r}" for r in range(9)]
+
+
+@pytest.mark.parametrize("line, label", [
+    ('6,"6.5",L6\n', "L6"),
+    ('6,6.5,"L6"\n', "L6"),
+    ('6,6.5,"L\n6"\n', "L\n6"),  # one record over two physical lines
+])
+def test_quoted_cells_first_seen_in_block_three(tmp_path, small_blocks, line,
+                                                label):
+    lines = _good_lines(12)
+    lines[6] = line
+    p = _write_lines(tmp_path / "quoted.csv", lines)
+    ds = load_csv(p)
+    assert ds.features.array.tolist() == [[r, r + 0.5] for r in range(12)]
+    labels = [f"L{r}" for r in range(12)]
+    labels[6] = label
+    assert ds.raw_labels == labels
+    lines[10] = "10,x,L10\n"
+    p = _write_lines(tmp_path / "quoted.csv", lines)
+    with pytest.raises(DataError, match=r"rejected at row 11, column b$"):
+        load_csv(p)
+
+
+def test_oversized_field_in_block_three_names_its_line(tmp_path, small_blocks):
+    limit = csv.field_size_limit()
+    lines = _good_lines(12)
+    lines[7] = "7,7.5," + "L" * (limit + 1) + "\n"
+    p = _write_lines(tmp_path / "long.csv", lines)
+    with pytest.raises(DataError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}:9: field larger than field limit ({limit})"
+    lines[1] = '1,1.5,"L\r\n1"\r\n'  # a record of two lines ahead of it
+    p = _write_lines(tmp_path / "long.csv", lines)
+    with pytest.raises(DataError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}:10: field larger than field limit ({limit})"
+    p = _write_lines(tmp_path / "long.csv", lines, header='a,b,"la\nbel"\n')
+    with pytest.raises(DataError) as err:
+        load_csv(p, label_column="la\nbel")
+    assert str(err.value) == f"{p}:11: field larger than field limit ({limit})"
+
+
+def test_whitespace_only_line_in_a_label_only_file(tmp_path, small_blocks):
+    lines = ["A\n", "B\n", "C\n", "D\n", " \t\n", "E\n", "F\n"]
+    p = _write_lines(tmp_path / "labels.csv", lines, header="label\n")
+    ds = load_csv(p)
+    assert ds.features.shape == (7, 0)
+    assert ds.raw_labels == ["A", "B", "C", "D", " \t", "E", "F"]
+    lines[4] = "\n"
+    p = _write_lines(tmp_path / "labels.csv", lines, header="label\n")
+    with pytest.raises(DataError, match=r"field count rejected: rows 5$"):
+        load_csv(p)
+    with pytest.raises(DataError, match=r"rows 5$"):
+        load_feature_matrix(p, ["label"])
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_files_load_bit_equal(tmp_path, small_blocks, end):
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((10, 2)) * 1e3
+    rows = [f"{a!r},{b!r},L{r}" for r, (a, b) in enumerate(values.tolist())]
+    lf = _write_lines(tmp_path / "lf.csv", [row + "\n" for row in rows])
+    other = _write_lines(tmp_path / "other.csv", [row + end for row in rows],
+                         header="a,b,label" + end)
+    want, got = load_csv(lf), load_csv(other)
+    assert got.features.array.tobytes() == want.features.array.tobytes()
+    assert got.features.array.tobytes() == values.tobytes()
+    assert got.raw_labels == want.raw_labels == [f"L{r}" for r in range(10)]
+    last = _write_lines(tmp_path / "last.csv", [f"L{r}{end}" for r in range(7)],
+                        header="label" + end)
+    assert load_csv(last).raw_labels == [f"L{r}" for r in range(7)]
+
+
+def test_feature_matrix_reorders_columns_after_plain_blocks(tmp_path,
+                                                            small_blocks):
+    lines = [f"{r},L{r},{r + 0.5},{-r}\n" for r in range(11)]
+    lines[7] = '7,"L7",7.5,-7\n'
+    p = _write_lines(tmp_path / "cols.csv", lines, header="a,label,b,c\n")
+    expected = [[-r, r, r + 0.5] for r in range(11)]
+    assert load_feature_matrix(p, ["c", "a", "b"]).array.tolist() == expected
+    lines[7] = "7,L7,7.5,-7\n"
+    p = _write_lines(tmp_path / "cols.csv", lines, header="a,label,b,c\n")
+    assert load_feature_matrix(p, ["c", "a", "b"]).array.tolist() == expected
+
+
+def _csv_only(*args):
+    return None  # no block is plain: the csv module reads the whole file
+
+
+_ODD_CHARS = '0123456789.e-+_ \t"\0\r\n#,٣१５\x1c\x85\xa0'
+_LIMIT = csv.field_size_limit()
+_odd_cell = st.one_of(
+    st.text(alphabet=_ODD_CHARS, max_size=6),
+    st.sampled_from(["nan", "-inf", "1e999", "1_0", "٣", "5#", "", " ", "\xa0",
+                     '"', '""', '"1"', '"1\n2"', '"1,2"', '"L"', '"x\ny"']),
+    st.sampled_from(["L" * (_LIMIT + 1), "0." + "1" * (_LIMIT - 3),
+                     "0." + "1" * (_LIMIT - 1)]),
+)
+# Cells float and loadtxt both read, and labels with no quote or comma.
+_good_cell = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from([" 1.5", "2\t", "\xa03", "4\x1c", "-0", "+5", ".5",
+                     "6.", "7E-3", "1e-320"]),
+)
+_label = st.sampled_from(["L", "M", " N", "O\x85", "\x1c", "#", "5#", '"L"'])
+
+
+@st.composite
+def _csv_files(draw):
+    """(header, label index or None, file text): mostly well-formed rows,
+    some with one odd cell, some of any shape, over mixed line endings."""
+    width = draw(st.integers(1, 4))
+    label_j = draw(st.one_of(st.none(), st.integers(0, width - 1)))
+    header = [f"c{j}" for j in range(width)]
+    if label_j is not None:
+        header[label_j] = "label"
+    text = ",".join(header)
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["good"] * 8 + ["one odd cell", "any"]))
+        if shape == "any":
+            row = draw(st.lists(st.one_of(_good_cell, _odd_cell),
+                                max_size=width + 1))
+        else:
+            row = draw(st.lists(_good_cell, min_size=width, max_size=width))
+            if label_j is not None:
+                row[label_j] = draw(_label)
+            if shape == "one odd cell":
+                row[draw(st.integers(0, width - 1))] = draw(_odd_cell)
+        text += draw(st.sampled_from(["\n", "\r\n", "\r"])) + ",".join(row)
+    text += draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    return header, label_j, text
+
+
+def _outcome(path, header, label_j):
+    try:
+        if label_j is None:
+            values = load_feature_matrix(path, header[::-1]).array
+            return values.tobytes(), values.shape
+        ds = load_csv(path)
+        return (ds.feature_names, ds.features.array.tobytes(),
+                ds.features.shape, ds.raw_labels)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_files(), st.sampled_from([2, 3]))
+def test_fast_path_matches_the_csv_module(tmp_path_factory, file, block_rows):
+    """Whatever the file, the loader returns the same names, float bits and
+    labels, or raises the same message, as the csv module alone."""
+    header, label_j, text = file
+    p = tmp_path_factory.mktemp("diff") / "cells.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(dataset, "_BLOCK_ROWS", block_rows):
+        got = _outcome(str(p), header, label_j)
+        with mock.patch.object(dataset, "_parse_plain", _csv_only):
+            want = _outcome(str(p), header, label_j)
+    assert got == want

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -41,6 +43,22 @@ def saved(tmp_path):
     path = tmp_path / "model.fsnt"
     save_model(str(path), model, pre, default_taxonomy(), metadata, names)
     return path, model, pre, metadata, names
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                         ids=["umask-022", "umask-027"])
+def test_model_file_mode_follows_the_umask(saved, tmp_path, umask, mode):
+    """The mode a plain open() gives, as predict --out files get, not the
+    temp file's 0600."""
+    path, model, pre, metadata, names = saved
+    out = tmp_path / "again.fsnt"
+    old = os.umask(umask)
+    try:
+        save_model(str(out), model, pre, default_taxonomy(), metadata, names)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert out.read_bytes() == path.read_bytes()
 
 
 def test_round_trip_preserves_everything(saved):
