@@ -126,8 +126,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
-        # model-file I/O is already wrapped as ModelStoreError; anything
-        # left is a data read or --out write problem
+        # every open is wrapped with its path; anything left is a failed
+        # write to an --out file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -154,7 +154,11 @@ def _output(path: str | None, what: str):
     if not path:
         yield sys.stdout
         return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
         yield fh
     print(f"{what} written to {path}", file=sys.stderr)
 

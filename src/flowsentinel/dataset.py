@@ -14,8 +14,8 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice, repeat
-from operator import contains, itemgetter
-from typing import Callable, Iterator, Sequence
+from operator import contains, eq, itemgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,8 @@ DEFAULT_LABEL_COLUMN = "label"
 BINARY_POSITIVE = "Benign"
 BINARY_ATTACK_LABEL = "Attack"
 
-_RULE_KINDS = ("exact", "prefix", "contains")
+# Each rule kind and its test of (label, pattern).
+_MATCHERS = {"exact": eq, "prefix": str.startswith, "contains": contains}
 
 # How many offending cells or rows to name before truncating the error message.
 _MAX_REPORTED_CELLS = 8
@@ -70,30 +71,25 @@ class Dataset:
 
 @dataclass(frozen=True)
 class TaxonomyRule:
-    kind: str  # exact | prefix | contains
+    kind: str  # a key of _MATCHERS
     pattern: str
     category: str
 
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in _MATCHERS):
+            raise DataError(f"unknown rule kind {self.kind!r}")
+        if not (isinstance(self.pattern, str) and isinstance(self.category, str)):
+            raise DataError(f"rule pattern and category must be strings: {self}")
+        if not self.pattern or not self.category:
+            raise DataError("empty pattern or category")
+
     def matches(self, label: str) -> bool:
-        if self.kind == "exact":
-            return label == self.pattern
-        if self.kind == "prefix":
-            return label.startswith(self.pattern)
-        return self.pattern in label
+        return _MATCHERS[self.kind](label, self.pattern)
 
 
 @dataclass
 class Taxonomy:
     rules: list[TaxonomyRule] = field(default_factory=list)
-
-    def __post_init__(self):
-        for rule in self.rules:
-            if rule.kind not in _RULE_KINDS:
-                raise DataError(
-                    f"unknown rule kind {rule.kind!r}; expected one of {_RULE_KINDS}"
-                )
-            if not (isinstance(rule.pattern, str) and isinstance(rule.category, str)):
-                raise DataError(f"rule pattern and category must be strings: {rule}")
 
     def category_of(self, label: str) -> str | None:
         for rule in self.rules:
@@ -128,14 +124,12 @@ def load_taxonomy(path: str) -> Taxonomy:
                 parts = line.split(",", 2)
                 if len(parts) != 3:
                     raise DataError(f"{path}:{lineno}: expected kind,pattern,category")
-                kind, pattern, category = (p.strip() for p in parts)
-                if kind not in _RULE_KINDS:
-                    raise DataError(f"{path}:{lineno}: unknown rule kind {kind!r}")
-                if not pattern or not category:
-                    raise DataError(f"{path}:{lineno}: empty pattern or category")
-                rules.append(TaxonomyRule(kind, pattern, category))
+                try:
+                    rules.append(TaxonomyRule(*(p.strip() for p in parts)))
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
     except OSError as exc:
-        raise DataError(f"cannot read taxonomy file: {exc}") from exc
+        raise DataError(f"cannot read taxonomy file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError:
         raise DataError(_undecodable(path)) from None
     if not rules:
@@ -244,32 +238,55 @@ def _plain_labels(lines: list[str], label_j: int, width: int) -> list[str]:
     return [line.split(",", label_j + 1)[label_j] for line in lines]
 
 
-_Select = Callable[[list[str]], tuple[list[int], int | None]]
+def _columns(
+    path: str,
+    header: list[str],
+    label_column: str | None,
+    feature_names: Sequence[str] | None,
+) -> tuple[list[int], int | None]:
+    """The feature column indices and the label column index (None when
+    `label_column` is None), or DataError. With `feature_names` None every
+    column but the label is a feature, in file order."""
+    if label_column is not None and label_column not in header:
+        raise DataError(f"{path}: label column {label_column!r} not in header {header}")
+    label_j = None if label_column is None else header.index(label_column)
+    if feature_names is None:
+        return [j for j in range(len(header)) if j != label_j], label_j
+    missing = [name for name in feature_names if name not in header]
+    if missing:
+        raise DataError(
+            f"{path}: missing feature columns {missing}; header has {header}"
+        )
+    return [header.index(name) for name in feature_names], label_j
 
 
-def _read_csv(path: str, select: _Select) -> tuple[list[str], np.ndarray, list[str]]:
+def _read_csv(
+    path: str, label_column: str | None, feature_names: Sequence[str] | None
+) -> tuple[list[str], np.ndarray, list[str]]:
     """Stream a CSV in blocks of `_BLOCK_ROWS` rows into float64 features.
 
-    `select(header)` returns the feature column indices and the label column
-    index (None for no labels), or raises DataError. Returns the feature
-    names, the (rows, features) array and the labels. No block's row
-    strings outlive it. The whole file is read before a fault in its content
-    is raised, so the one reported is, by precedence: a read error, an empty
-    file, a duplicate header name, rows whose field count differs from the
-    header's (across the whole file), the columns `select` rejects, and
-    unparsable or non-finite feature cells.
+    The columns are those `_columns` picks. Returns the feature names, the
+    (rows, features) array and the labels (empty when `label_column` is
+    None). No block's row strings outlive it. The whole file is read before
+    a fault in its content is raised, so the one reported is, by precedence:
+    a read error, an empty file, a duplicate header name, rows whose field
+    count differs from the header's (across the whole file), a missing
+    label or feature column, and unparsable or non-finite feature cells.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return _read_blocks(path, fh, select)
+            return _read_blocks(path, fh, label_column, feature_names)
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError:
         raise DataError(_undecodable(path)) from None
 
 
 def _read_blocks(
-    path: str, fh: Iterator[str], select: _Select
+    path: str,
+    fh: Iterator[str],
+    label_column: str | None,
+    feature_names: Sequence[str] | None,
 ) -> tuple[list[str], np.ndarray, list[str]]:
     """Blocks of plain lines (see `_parse_plain`) take numpy's C parser.
     From the first block that does not, the csv module reads the rest of the
@@ -284,7 +301,7 @@ def _read_blocks(
             raise DataError(f"{path}: file is empty, header row required") from None
         duplicate = len(set(header)) != len(header)
         try:
-            columns, label_j = select(header)
+            columns, label_j = _columns(path, header, label_column, feature_names)
             rejected = None
         except DataError as exc:
             columns, label_j, rejected = [], None, exc
@@ -349,15 +366,6 @@ def _read_blocks(
     return [header[j] for j in columns], values, labels
 
 
-def _named_columns(path: str, header: list[str], names: Sequence[str]) -> list[int]:
-    missing = [name for name in names if name not in header]
-    if missing:
-        raise DataError(
-            f"{path}: missing feature columns {missing}; header has {header}"
-        )
-    return [header.index(name) for name in names]
-
-
 def load_csv(
     path: str,
     label_column: str = DEFAULT_LABEL_COLUMN,
@@ -369,19 +377,7 @@ def load_csv(
     file order; otherwise exactly the named columns are, in the given order,
     and no other column is parsed.
     """
-
-    def select(header: list[str]) -> tuple[list[int], int]:
-        if label_column not in header:
-            raise DataError(
-                f"{path}: label column {label_column!r} not in header "
-                f"{header}"
-            )
-        label_j = header.index(label_column)
-        if feature_names is not None:
-            return _named_columns(path, header, feature_names), label_j
-        return [j for j in range(len(header)) if j != label_j], label_j
-
-    names, values, labels = _read_csv(path, select)
+    names, values, labels = _read_csv(path, label_column, feature_names)
     return Dataset(
         features=Tensor._wrap(values),
         raw_labels=labels,
@@ -396,11 +392,7 @@ def load_feature_matrix(path: str, feature_names: Sequence[str]) -> Tensor:
     Any other columns (including labels) are ignored, so prediction input
     does not need to be labeled.
     """
-
-    def select(header: list[str]) -> tuple[list[int], None]:
-        return _named_columns(path, header, feature_names), None
-
-    _, values, _ = _read_csv(path, select)
+    _, values, _ = _read_csv(path, None, feature_names)
     return Tensor._wrap(values)
 
 

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import stat
-import tempfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -143,31 +142,27 @@ def save_model(
         + payload
     )
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp_path = None
+    tmp_path = os.path.join(directory, f".flowsentinel-{os.urandom(8).hex()}")
+    created = False
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".flowsentinel-")
-        # mkstemp makes the file 0600; give it the mode open() would
-        os.fchmod(fd, 0o666 & ~_umask())
-        with os.fdopen(fd, "wb") as fh:
+        # "x" refuses an existing name; the umask sets the mode, as for --out
+        with open(tmp_path, "xb") as fh:
+            created = True
             fh.write(blob)
         os.replace(tmp_path, path)
-        tmp_path = None
+        created = False
     except OSError as exc:
         raise _cannot_write(path, exc.strerror) from exc
     finally:
-        if tmp_path is not None and os.path.exists(tmp_path):
+        if created:
             os.unlink(tmp_path)
 
 
-def _umask() -> int:
-    mask = os.umask(0o077)  # reading the umask means setting it
-    os.umask(mask)
-    return mask
-
-
 def dir_fault(path: str) -> str | None:
-    """The OS reason a new file cannot be made at `path` because of its
-    directory (missing, or not a directory), or None."""
+    """The OS reason a new file cannot be made at `path`, or None: its
+    directory is missing or not a directory, or `path` is a directory."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
     try:
         mode = os.stat(os.path.dirname(os.path.abspath(path))).st_mode
     except OSError as exc:
@@ -176,8 +171,8 @@ def dir_fault(path: str) -> str | None:
 
 
 def check_model_dir(path: str) -> None:
-    """Raise save_model's error for `path` now if its directory is not one,
-    so that a long run does not end in it."""
+    """Raise save_model's error for `path` now if no file can be made
+    there, so that a long run does not end in it."""
     if reason := dir_fault(path):
         raise _cannot_write(path, reason)
 
@@ -195,7 +190,9 @@ def load_model(
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
-        raise ModelStoreError(f"cannot read model file {path}: {exc}") from exc
+        raise ModelStoreError(
+            f"cannot read model file {path}: {exc.strerror}"
+        ) from exc
     if len(blob) < 12:
         raise ModelStoreError(f"{path}: too short to be a model file")
     if blob[:8] != MAGIC:

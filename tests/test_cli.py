@@ -222,6 +222,10 @@ HEADER_EDITS = {
     "feature_name-int": lambda h: h["feature_names"].__setitem__(0, 7),
     "class_name-int": lambda h: h["class_names"].__setitem__(0, 7),
     "pattern-int": lambda h: h["taxonomy"]["rules"][1].__setitem__(1, 5),
+    "rule-pattern-empty": lambda h: h["taxonomy"]["rules"].__setitem__(
+        0, ["contains", "", "Benign"]),
+    "rule-category-empty": lambda h: h["taxonomy"]["rules"][1].__setitem__(2, ""),
+    "rule-kind-glob": lambda h: h["taxonomy"]["rules"][1].__setitem__(0, "glob"),
     "task-bogus": lambda h: _both_tasks(h, "bogus"),
     "task-disagrees": lambda h: h["metadata"].update(task="binary"),
     "seed-disagrees": lambda h: h["metadata"].update(seed=h["metadata"]["seed"] + 1),
@@ -255,6 +259,12 @@ HEADER_EDITS = {
     "header-unknown-key": lambda h: h.update(comment="hand-edited"),
 }
 
+RULE_REFUSALS = {
+    "rule-pattern-empty": "empty pattern or category",
+    "rule-category-empty": "empty pattern or category",
+    "rule-kind-glob": "unknown rule kind 'glob'",
+}
+
 
 @pytest.mark.parametrize("command", ["inspect", "predict", "evaluate"])
 @pytest.mark.parametrize("edit", HEADER_EDITS)
@@ -276,6 +286,9 @@ def test_bad_header_value_is_exit_3(trained_model, tmp_path, capsys, recwarn,
     assert f"error: {bad}: " in captured.err
     if edit.startswith("architecture."):
         assert f"error: {bad}: {edit.split('-')[0]} " in captured.err
+    if edit in RULE_REFUSALS:  # the taxonomy file reader's own checks
+        reason = RULE_REFUSALS[edit]
+        assert captured.err == f"error: {bad}: malformed header: {reason}\n"
 
 
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -538,7 +551,8 @@ def test_out_dir_is_checked_before_the_forward_pass(flow_csv, tmp_path, capsys,
 
     monkeypatch.setattr(cli, command, no_forward_pass)
     for out, reason in ((tmp_path / "no" / "out.txt", "No such file or directory"),
-                        (Path(flow_csv) / "out.txt", "Not a directory")):
+                        (Path(flow_csv) / "out.txt", "Not a directory"),
+                        (tmp_path, "Is a directory")):
         assert run([command, "--model", model, "--data", flow_csv,
                     "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -552,10 +566,41 @@ def test_out_dir_is_checked_before_the_forward_pass(flow_csv, tmp_path, capsys,
     assert "cannot write" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_late_out_open_failure_is_one_line(trained_model, tmp_path, capsys,
+                                           recwarn, monkeypatch, command):
+    data, model = trained_model
+    monkeypatch.setattr(cli, "dir_fault", lambda path: None)
+    assert run([command, "--model", model, "--data", data,
+                "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("reader", ["csv", "taxonomy", "model"])
+def test_read_errors_name_the_path_and_reason(trained_model, tmp_path, capsys,
+                                              recwarn, reader):
+    data, model = trained_model
+    for path, reason in ((tmp_path / "missing", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        argv, what, code = {
+            "csv": (["predict", "--model", model, "--data", str(path)], "", 2),
+            "taxonomy": (["train", "--data", data, "--taxonomy", str(path),
+                          "--out", str(tmp_path / "m.fsnt")], "taxonomy file ", 2),
+            "model": (["inspect", "--model", str(path)], "model file ", 3),
+        }[reader]
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured, recwarn)
+        assert captured.err == f"error: cannot read {what}{path}: {reason}\n"
+
+
 def test_train_out_dir_is_checked_before_the_first_epoch(flow_csv, tmp_path, capsys,
                                                          recwarn):
     for out, reason in ((tmp_path / "no" / "m.fsnt", "No such file or directory"),
-                        (Path(flow_csv) / "m.fsnt", "Not a directory")):
+                        (Path(flow_csv) / "m.fsnt", "Not a directory"),
+                        (tmp_path, "Is a directory")):
         errs = []
         for _ in range(2):
             assert run(["train", "--data", flow_csv, "--epochs", "2",

@@ -176,6 +176,33 @@ def test_taxonomy_file_errors(tmp_path):
         load_taxonomy(str(tmp_path / "missing.txt"))
 
 
+def test_taxonomy_file_rule_errors_name_the_line(tmp_path):
+    p = tmp_path / "bad_tax.txt"
+    for line, message in (("glob,Benign,Benign", "unknown rule kind 'glob'"),
+                          ("contains, ,Benign", "empty pattern or category"),
+                          ("exact,Benign,", "empty pattern or category")):
+        p.write_text(f"# rules\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_taxonomy(str(p))
+        assert str(err.value) == f"{p}:2: {message}"
+
+
+@pytest.mark.parametrize("rule, message", [
+    (("glob", "Benign", "Benign"), "unknown rule kind 'glob'"),
+    ((["exact"], "Benign", "Benign"), "unknown rule kind ['exact']"),
+    (("exact", 5, "Benign"), "rule pattern and category must be strings: "),
+    (("exact", "Benign", None), "rule pattern and category must be strings: "),
+    (("contains", "", "Benign"), "empty pattern or category"),
+    (("prefix", "DDoS", ""), "empty pattern or category"),
+], ids=["kind-glob", "kind-list", "pattern-int", "category-none",
+        "pattern-empty", "category-empty"])
+def test_taxonomy_rule_checks_itself(rule, message):
+    """Every rule source (file, model file, Python) gets the same checks."""
+    with pytest.raises(DataError) as err:
+        TaxonomyRule(*rule)
+    assert str(err.value).startswith(message)
+
+
 def _dataset(labels, seed=0):
     rng = np.random.default_rng(seed)
     return Dataset(

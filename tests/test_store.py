@@ -61,6 +61,20 @@ def test_model_file_mode_follows_the_umask(saved, tmp_path, umask, mode):
     assert out.read_bytes() == path.read_bytes()
 
 
+def test_save_never_touches_a_file_it_did_not_create(saved, tmp_path,
+                                                    monkeypatch):
+    path, model, pre, metadata, names = saved
+    monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+    taken = tmp_path / f".flowsentinel-{'00' * 8}"
+    taken.write_bytes(b"someone else's")
+    out = tmp_path / "again.fsnt"
+    with pytest.raises(ModelStoreError) as err:
+        save_model(str(out), model, pre, default_taxonomy(), metadata, names)
+    assert str(err.value) == f"cannot write model file {out}: File exists"
+    assert taken.read_bytes() == b"someone else's"
+    assert not out.exists()
+
+
 def test_round_trip_preserves_everything(saved):
     path, model, pre, metadata, names = saved
     loaded, pre2, tax2, meta2, names2 = load_model(str(path))
