@@ -126,8 +126,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
-        # every open is wrapped with its path; anything left is a failed
-        # write to an --out file
+        # every file is wrapped with its path; anything left is a failed
+        # write to stdout
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -154,12 +154,13 @@ def _output(path: str | None, what: str):
     if not path:
         yield sys.stdout
         return
+    # The open, the writes and the close: a full disk shows at the last
+    # flush. The target is left in place; it may be a device.
     try:
-        fh = open(path, "w", newline="", encoding="utf-8")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc.strerror}") from exc
-    with fh:
-        yield fh
     print(f"{what} written to {path}", file=sys.stderr)
 
 
@@ -253,8 +254,8 @@ def _cmd_predict(args) -> None:
     class_names = preproc.label_map
     header = ["predicted_label"] + [f"prob_{name}" for name in class_names]
     rows = (
-        [class_names[pred_idx[i]]] + [repr(float(v)) for v in probs.array[i]]
-        for i in range(len(pred_idx))
+        [class_names[i], *map(repr, row)]
+        for i, row in zip(pred_idx, probs.array.tolist())
     )
     with _output(args.out, "predictions") as fh:
         writer = csv.writer(fh)

@@ -578,6 +578,18 @@ def test_late_out_open_failure_is_one_line(trained_model, tmp_path, capsys,
     assert captured.err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_failed_out_write_names_the_file(trained_model, capsys, recwarn, command):
+    data, model = trained_model
+    assert run([command, "--model", model, "--data", data,
+                "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert captured.err == "error: cannot write /dev/full: No space left on device\n"
+    assert Path("/dev/full").exists()
+
+
 @pytest.mark.parametrize("reader", ["csv", "taxonomy", "model"])
 def test_read_errors_name_the_path_and_reason(trained_model, tmp_path, capsys,
                                               recwarn, reader):
