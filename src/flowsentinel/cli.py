@@ -283,11 +283,9 @@ def _cmd_inspect(args) -> None:
     for i, name in enumerate(preproc.label_map):
         print(f"  {i}: {name}")
     print("parameters:")
-    total = 0
     for name, values in model.params.items():
-        total += values.size
         print(f"  {name}: shape {values.shape}, {values.size} values")
-    print(f"  total: {total} values")
+    print(f"  total: {model.values.size} values")
     print("taxonomy rules:")
     for rule in taxonomy.rules:
         print(f"  {rule.kind},{rule.pattern},{rule.category}")

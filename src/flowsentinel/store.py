@@ -7,13 +7,13 @@ Container layout (byte-exact layout in docs/model-file-format.md):
     next          UTF-8 JSON header (format version, architecture, class
                   names, feature names, standardizer state, taxonomy rules,
                   training metadata, tensor directory)
-    rest          concatenated little-endian IEEE-754 float64 tensor
-                  payloads, in tensor-directory order
+    rest          ModelParams.values as little-endian IEEE-754 float64,
+                  which is every tensor's values in tensor-directory order
 
 Writes are atomic (temp file + rename). save -> load -> save is
 byte-identical; all invariants are revalidated on load, and the tensor
 directory must be exactly the architecture's parameter table, with every
-value finite. save_model runs the same table check before it writes.
+value finite. save_model checks the values before it writes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ import numpy as np
 from .dataset import BINARY_POSITIVE, Taxonomy, TaxonomyRule
 from .errors import DataError, ModelStoreError
 from .pipeline import PreprocState
-from .trainer import STACK, ArchitectureConfig, ModelParams, TrainConfig, param_shapes
+from .trainer import (
+    STACK, ArchitectureConfig, ModelParams, TrainConfig, non_finite_param,
+    param_shapes, param_slices,
+)
 
 MAGIC = b"FLOWSNT1"
 FORMAT_VERSION = 1
@@ -65,16 +68,13 @@ class ModelMetadata:
             raise DataError("final_metrics must map names to numbers or null")
 
 
-def _directory(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
-    """The tensor directory for an ordered name -> shape map: each tensor's
-    float64 values follow the previous tensor's, in map order."""
-    entries, offset = [], 0
-    for name, shape in shapes.items():
-        size = math.prod(shape) * 8
-        entries.append({"name": name, "shape": list(shape), "offset": offset,
-                        "byte_length": size})
-        offset += size
-    return entries
+def _directory(arch: ArchitectureConfig) -> list[dict]:
+    """The architecture's tensor directory: the parameter table's slices of
+    the payload, in bytes."""
+    shapes = param_shapes(arch)
+    return [{"name": name, "shape": list(shapes[name]), "offset": 8 * s.start,
+             "byte_length": 8 * (s.stop - s.start)}
+            for name, s in param_slices(arch).items()]
 
 
 def _header_dict(
@@ -109,7 +109,7 @@ def _header_dict(
             "binary_positive": BINARY_POSITIVE,
         },
         "metadata": {"task": preproc.task, "seed": metadata.train_config.seed, **meta},
-        "tensors": _directory({name: v.shape for name, v in model.params.items()}),
+        "tensors": _directory(model.arch),
     }
 
 
@@ -123,24 +123,16 @@ def save_model(
 ) -> None:
     """Write the container atomically (temp file in the same directory).
 
-    The parameter table gets the reader's checks first; a table that
-    load_model would refuse raises ModelStoreError and writes nothing.
+    A non-finite parameter, which load_model would refuse, raises
+    ModelStoreError and writes nothing.
     """
-    _check_table(path, model.arch, model.params)
+    _check_finite(path, model)
     header = _header_dict(model, preproc, taxonomy, metadata, feature_names)
     header_bytes = json.dumps(
         header, separators=(",", ":"), ensure_ascii=False, allow_nan=False
     ).encode("utf-8")
-    payload = b"".join(
-        np.ascontiguousarray(values, dtype="<f8").tobytes()
-        for values in model.params.values()
-    )
-    blob = (
-        MAGIC
-        + len(header_bytes).to_bytes(4, "little")
-        + header_bytes
-        + payload
-    )
+    payload = model.values.astype("<f8", copy=False).tobytes()
+    blob = MAGIC + len(header_bytes).to_bytes(4, "little") + header_bytes + payload
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp_path = os.path.join(directory, f".flowsentinel-{os.urandom(8).hex()}")
     created = False
@@ -190,15 +182,11 @@ def load_model(
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
-        raise ModelStoreError(
-            f"cannot read model file {path}: {exc.strerror}"
-        ) from exc
+        raise ModelStoreError(f"cannot read model file {path}: {exc.strerror}") from exc
     if len(blob) < 12:
         raise ModelStoreError(f"{path}: too short to be a model file")
     if blob[:8] != MAGIC:
-        raise ModelStoreError(
-            f"{path}: bad magic {blob[:8]!r}, expected {MAGIC!r}"
-        )
+        raise ModelStoreError(f"{path}: bad magic {blob[:8]!r}, expected {MAGIC!r}")
     header_len = int.from_bytes(blob[8:12], "little")
     if header_len > MAX_HEADER_BYTES:
         raise ModelStoreError(
@@ -240,11 +228,9 @@ def load_model(
                 f"{path}: payload truncated, expected {expected_total} bytes, "
                 f"found {len(payload)} (short by {expected_total - len(payload)})"
             )
-        flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        pieces = np.split(flat, [entry["offset"] // 8 for entry in entries[1:]])
-        params = {e["name"]: v.reshape(e["shape"]) for e, v in zip(entries, pieces)}
-        _check_finite(path, params)
-        model = ModelParams(arch=arch, params=params)
+        # astype copies: the model's values are writable and own their bytes
+        model = ModelParams(arch, np.frombuffer(payload, "<f8").astype(np.float64))
+        _check_finite(path, model)
         for key in ("class_names", "feature_names"):
             if not isinstance(header[key], list) or not all(
                     isinstance(name, str) for name in header[key]):
@@ -320,10 +306,10 @@ def _object(path: str, name: str, block, keys) -> dict:
 def _check_directory(
     path: str, arch: ArchitectureConfig, entries: list[dict]
 ) -> list[dict]:
-    """A tensor directory must be _directory(param_shapes(arch)), entry by
-    entry: the same names in the same order, with the same shapes, offsets
-    and byte lengths, and no other keys. Returns that expected directory."""
-    expected = _directory(param_shapes(arch))
+    """A tensor directory must be _directory(arch), entry by entry: the same
+    names in the same order, with the same shapes, offsets and byte lengths,
+    and no other keys. Returns that expected directory."""
+    expected = _directory(arch)
     if len(entries) != len(expected):
         raise ModelStoreError(
             f"{path}: tensor directory has {len(entries)} entries, the "
@@ -338,18 +324,6 @@ def _check_directory(
     return expected
 
 
-def _check_finite(path: str, params: dict[str, np.ndarray]) -> None:
-    for name, values in params.items():
-        if not np.isfinite(values).all():
-            raise ModelStoreError(f"{path}: tensor {name} holds a non-finite value")
-
-
-def _check_table(
-    path: str, arch: ArchitectureConfig, params: dict[str, np.ndarray]
-) -> None:
-    """The writer's check: a parameter table must lay out as the
-    architecture's tensor directory, and every value must be finite."""
-    _check_directory(
-        path, arch, _directory({name: v.shape for name, v in params.items()})
-    )
-    _check_finite(path, params)
+def _check_finite(path: str, model: ModelParams) -> None:
+    if (name := non_finite_param(model.arch, model.values)) is not None:
+        raise ModelStoreError(f"{path}: tensor {name} holds a non-finite value")

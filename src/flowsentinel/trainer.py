@@ -27,7 +27,8 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -163,24 +164,57 @@ class TrainHistory:
         return len(self.train_loss)
 
 
-@dataclass
+def param_slices(arch: ArchitectureConfig) -> dict[str, slice]:
+    """Each parameter's place in the flat parameter vector, which is laid out
+    as the model file's payload: one parameter after another, in table order."""
+    slices, start = {}, 0
+    for name, shape in param_shapes(arch).items():
+        slices[name] = slice(start, start := start + math.prod(shape))
+    return slices
+
+
+def param_views(arch: ArchitectureConfig, values: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> view of each parameter in a vector laid out as `ModelParams.values`."""
+    shapes = param_shapes(arch)
+    return {n: values[s].reshape(shapes[n]) for n, s in param_slices(arch).items()}
+
+
+def non_finite_param(arch: ArchitectureConfig, values: np.ndarray) -> str | None:
+    """The first parameter whose slice of `values` is not all finite, or None."""
+    finite = np.isfinite(values)
+    return None if finite.all() else next(
+        name for name, s in param_slices(arch).items() if not finite[s].all())
+
+
+@dataclass(frozen=True, eq=False)
 class ModelParams:
+    """The parameter table: one float64 vector laid out as the model file's
+    payload, and `params`, read-only name -> writable views into it."""
+
     arch: ArchitectureConfig
-    params: dict[str, np.ndarray]  # keys and shapes as param_shapes(arch)
+    values: np.ndarray
+    params: Mapping[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size, values = [*param_slices(self.arch).values()][-1].stop, self.values
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                and values.shape == (size,) and values.flags.c_contiguous):
+            got = getattr(values, "dtype", type(values).__name__)
+            raise DataError(f"model values must be a C-contiguous float64 vector "
+                            f"of {size} values, got {got} {np.shape(values)}")
+        views = MappingProxyType(param_views(self.arch, values))
+        object.__setattr__(self, "params", views)
 
 
 def build_model(arch: ArchitectureConfig, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights and zero biases, drawn in table order."""
-    params = {}
-    for name, shape in param_shapes(arch).items():
-        if len(shape) == 1:
-            params[name] = np.zeros(shape)
-            continue
-        receptive = math.prod(shape[2:])
-        params[name] = glorot_uniform_init(
-            shape, fan_in=shape[1] * receptive, fan_out=shape[0] * receptive, rng=rng
-        )
-    return ModelParams(arch=arch, params=params)
+    model = ModelParams(arch, np.zeros([*param_slices(arch).values()][-1].stop))
+    for w in model.params.values():
+        if w.ndim > 1:
+            receptive = math.prod(w.shape[2:])
+            w[...] = glorot_uniform_init(w.shape, fan_in=w.shape[1] * receptive,
+                                         fan_out=w.shape[0] * receptive, rng=rng)
+    return model
 
 
 def _layers(model: ModelParams) -> list:
@@ -235,9 +269,9 @@ def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
 
 def backward(
     model: ModelParams, activations: tuple, grad_logits: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Parameter gradients keyed as the table, each summed over the batch
-    in sample order."""
+) -> np.ndarray:
+    """The parameter gradient as one vector laid out as `model.values`,
+    each value summed over the batch in sample order."""
     conv1, conv2, dense1, output = _layers(model)
     x, c1, mask1, p1, c2, mask2, flat, h, hr = activations
     g_out = L.dense_backward(output, hr, grad_logits)
@@ -247,9 +281,8 @@ def backward(
     g_conv2 = L.conv1d_backward(conv2, p1, d_c2)
     d_c1 = L.relu_backward(c1, _unpool(mask1, g_conv2.d_input, c1.shape))
     g_conv1 = L.conv1d_backward(conv1, x, d_c1)
-    layer_grads = (g_conv1, g_conv2, g_dense1, g_out)
-    pairs = [g for lg in layer_grads for g in (lg.d_weights, lg.d_bias)]
-    return dict(zip(model.params, pairs))
+    return np.concatenate([g.ravel() for lg in (g_conv1, g_conv2, g_dense1, g_out)
+                           for g in (lg.d_weights, lg.d_bias)])
 
 
 def _correct(logits: np.ndarray, targets: np.ndarray) -> int:
@@ -264,8 +297,6 @@ def _eval_split(
         return math.nan, math.nan
     total_loss = 0.0
     correct = 0
-    # Sequential on purpose: pool threads add malloc arenas to training's
-    # peak RSS and, at training's split sizes, saved no time.
     for start in range(0, len(indices), EVAL_CHUNK):
         chunk = indices[start : start + EVAL_CHUNK]
         logits, _ = forward(model, x3[chunk])
@@ -292,7 +323,8 @@ def train(
     early_stop_patience > 0, training stops after that many consecutive
     epochs without a validation loss improvement and the best epoch's
     parameters are restored. A batch whose loss or updated parameters are
-    not finite raises DataError naming its epoch and batch.
+    not finite raises DataError naming its epoch and batch, and leaves the
+    model as it was before that batch.
     """
     width = model.arch.feature_count
     if dataset_features.shape[1:] != (width, 1):
@@ -308,13 +340,11 @@ def train(
     if cfg.early_stop_patience > 0 and not val_idx:
         raise DataError("early stopping needs a non-empty validation split")
 
-    states = {
-        name: AdamState(shape=p.shape, lr=cfg.lr) for name, p in model.params.items()
-    }
+    state = AdamState(shape=model.values.shape, lr=cfg.lr)
     history = TrainHistory()
     rng = np.random.default_rng(cfg.seed)
     best_val = math.inf
-    best_params: dict[str, np.ndarray] | None = None
+    best_values: np.ndarray | None = None
     stale = 0
 
     for epoch in range(cfg.epochs):
@@ -332,12 +362,10 @@ def train(
                 raise _diverged(epoch, b, "the loss")
             epoch_correct += _correct(logits, yb)
             grads = backward(model, activations, lv.grad)
-            scale = 1.0 / len(batch)
-            for name, param in model.params.items():
-                updated = adam_step(states[name], param, grads[name] * scale)
-                if not np.isfinite(updated).all():
-                    raise _diverged(epoch, b, name)
-                model.params[name] = updated
+            updated = adam_step(state, model.values, grads * (1.0 / len(batch)))
+            if (name := non_finite_param(model.arch, updated)) is not None:
+                raise _diverged(epoch, b, name)
+            np.copyto(model.values, updated)
         n_train = len(order)
         train_loss = epoch_loss / n_train
         train_acc = epoch_correct / n_train
@@ -350,7 +378,7 @@ def train(
             on_epoch(epoch + 1, cfg.epochs, train_loss, train_acc, val_loss, val_acc)
         if not math.isnan(val_loss) and val_loss < best_val:
             best_val = val_loss
-            best_params = dict(model.params)  # adam_step never updates in place
+            best_values = model.values.copy()
             history.best_epoch = epoch
             stale = 0
         else:
@@ -358,10 +386,10 @@ def train(
         if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
             break
 
-    if best_params is None:
+    if best_values is None:
         history.best_epoch = history.epochs_run() - 1
     elif cfg.early_stop_patience > 0:
-        model.params.update(best_params)
+        np.copyto(model.values, best_values)
     return model, history
 
 

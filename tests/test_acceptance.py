@@ -43,6 +43,7 @@ from flowsentinel.trainer import (
     evaluate,
     flatten_length,
     forward,
+    param_views,
     predict,
     train,
 )
@@ -154,7 +155,7 @@ def test_criterion_1_gradient_suite():
             y = rng.integers(0, 3)
             logits, activations = forward(model, x[None])
             lv = softmax_ce_grad(logits, np.array([y]))
-            grads = backward(model, activations, lv.grad)
+            grads = param_views(model.arch, backward(model, activations, lv.grad))
             loss = float(lv.loss[0])
             params = {n: p.copy() for n, p in model.params.items()}
             assert abs(fast_model_loss(params, x, y) - loss) <= 1e-12 * max(1.0, abs(loss))

@@ -15,6 +15,7 @@ from flowsentinel.trainer import (
     backward,
     build_model,
     forward,
+    param_views,
     _pool,
     _unpool,
 )
@@ -148,12 +149,13 @@ def test_model_gradient_is_in_order_sum_of_sample_gradients(n):
     y = rng.integers(0, 3, size=n)
     logits, activations = forward(model, x)
     lv = softmax_ce_grad(logits, y)
-    grads = backward(model, activations, lv.grad)
+    grads = param_views(model.arch, backward(model, activations, lv.grad))
     per = []  # (loss, gradients, logits) of each sample as the N=1 batch
     for i in range(n):
         z, acts = forward(model, x[i : i + 1])
         lv_i = softmax_ce_grad(z, y[i : i + 1])
-        per.append((lv_i.loss[0], backward(model, acts, lv_i.grad), z[0]))
+        per.append((lv_i.loss[0], param_views(model.arch, backward(model, acts, lv_i.grad)),
+                    z[0]))
     assert lv.loss.tolist() == [loss for loss, _, _ in per]
     assert np.array_equal(logits, np.stack([z for _, _, z in per]))
     for name, total in grads.items():

@@ -155,25 +155,44 @@ CORRUPTIONS = ("nan-payload", "inf-payload", "output-rows", "dense1-width",
                "extra-entry", "reordered")
 
 
-def _corrupt(model, corruption):
-    """Damage a loaded model's parameter table in place."""
-    params = model.params
+def _corrupt(blob, corruption):
+    """The bytes of a good model file with its parameter table damaged: the
+    payload edited, and the header's tensor directory laid out to match it
+    as save_model lays out a table, one tensor after another."""
+    header_len = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
+    payload = blob[12 + header_len :]
+    table = {}  # name -> (shape, values), in directory order
+    for e in header["tensors"]:
+        values = np.frombuffer(payload, "<f8", e["byte_length"] // 8, e["offset"])
+        table[e["name"]] = (e["shape"], values.copy())
     if corruption == "nan-payload":
-        params["conv1.weights"][0, 0, 0] = np.nan
+        table["conv1.weights"][1][0] = np.nan
     elif corruption == "inf-payload":
-        params["dense1.bias"][3] = -np.inf
+        table["dense1.bias"][1][3] = -np.inf
     elif corruption == "output-rows":  # 4 output rows for 3 classes
-        params["output.weights"] = np.zeros((4, params["output.weights"].shape[1]))
-        params["output.bias"] = np.zeros(4)
+        width = table["output.weights"][0][1]
+        table["output.weights"] = ([4, width], np.zeros(4 * width))
+        table["output.bias"] = ([4], np.zeros(4))
     elif corruption == "dense1-width":  # narrower than the flatten length
-        params["dense1.weights"] = params["dense1.weights"][:, 1:]
+        (rows, cols), values = table["dense1.weights"]
+        table["dense1.weights"] = (
+            [rows, cols - 1], values.reshape(rows, cols)[:, 1:].ravel())
     elif corruption == "extra-entry":
-        params["extra.bias"] = np.zeros(3)
+        table["extra.bias"] = ([3], np.zeros(3))
     elif corruption == "reordered":
-        items = list(params.items())
+        items = list(table.items())
         items[0], items[1] = items[1], items[0]
-        params.clear()
-        params.update(items)
+        table = dict(items)
+    header["tensors"], offset = [], 0
+    for name, (shape, values) in table.items():
+        header["tensors"].append({"name": name, "shape": shape, "offset": offset,
+                                  "byte_length": values.nbytes})
+        offset += values.nbytes
+    header_bytes = json.dumps(header, separators=(",", ":"),
+                              ensure_ascii=False).encode("utf-8")
+    return (blob[:8] + len(header_bytes).to_bytes(4, "little") + header_bytes
+            + b"".join(values.astype("<f8").tobytes() for _, values in table.values()))
 
 
 @pytest.fixture(scope="module")
@@ -188,18 +207,10 @@ def trained_model(tmp_path_factory):
 @pytest.mark.parametrize("command", ["inspect", "predict", "evaluate"])
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
 def test_corrupt_model_is_exit_3(trained_model, tmp_path, capsys, recwarn,
-                                 monkeypatch, corruption, command):
-    from flowsentinel import store
-
+                                 corruption, command):
     data, good = trained_model
-    model, pre, taxonomy, meta, names = store.load_model(good)
-    assert model.params["output.weights"].shape == (3, 128)
-    _corrupt(model, corruption)
     bad = str(tmp_path / "bad.fsnt")
-    # save_model refuses such tables; write this one with its check off
-    with monkeypatch.context() as patch:
-        patch.setattr(store, "_check_table", lambda *args: None)
-        store.save_model(bad, model, pre, taxonomy, meta, names)
+    Path(bad).write_bytes(_corrupt(Path(good).read_bytes(), corruption))
     capsys.readouterr()
     argv = [command, "--model", bad] + ([] if command == "inspect" else ["--data", data])
     assert run(argv) == 3

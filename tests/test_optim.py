@@ -12,6 +12,7 @@ from flowsentinel.optim import (
     glorot_uniform_init,
     softmax_ce_grad,
 )
+from flowsentinel.trainer import ArchitectureConfig, param_shapes
 from oracles import assert_grad_close, central_diff
 
 
@@ -146,6 +147,32 @@ def test_adam_descends_one_parameter_quadratic():
             grad = np.array([2.0 * p0])
             p_new = adam_step(state, p, grad)
             assert p_new[0] ** 2 < p0**2
+
+
+@pytest.mark.parametrize("features,classes", [(16, 3), (45, 19)])
+def test_adam_over_the_joined_table_is_adam_over_its_pieces(features, classes):
+    # Adam works element by element, so the engine's one step over the whole
+    # parameter vector must give the bytes of one step per parameter tensor.
+    shapes = list(param_shapes(ArchitectureConfig(features, classes)).values())
+    bounds = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    rng = np.random.default_rng(features)
+    pieces = [rng.standard_normal(shape) for shape in shapes]
+    states = [AdamState(shape=shape) for shape in shapes]
+    joined = np.concatenate([p.ravel() for p in pieces])
+    state = AdamState(shape=joined.shape)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, -1e300]
+    for _ in range(4):
+        grads = rng.standard_normal(joined.size) * 10.0 ** rng.uniform(
+            -300, 300, joined.size)
+        grads[rng.choice(joined.size, 64, replace=False)] = np.resize(special, 64)
+        grads[np.r_[0, bounds - 1, bounds, -1]] = np.resize(special, 2 * bounds.size + 2)
+        with np.errstate(over="ignore", under="ignore"):  # g * g at 1e300
+            joined = adam_step(state, joined, grads)
+            pieces = [adam_step(s, p, g.reshape(p.shape))
+                      for s, p, g in zip(states, pieces, np.split(grads, bounds))]
+        assert joined.tobytes() == b"".join(p.tobytes() for p in pieces)
+        assert state.m.tobytes() == b"".join(s.m.tobytes() for s in states)
+        assert state.v.tobytes() == b"".join(s.v.tobytes() for s in states)
 
 
 def test_glorot_bound_is_one_for_fans_three():

@@ -39,7 +39,7 @@ def _model(features, classes, seed=0):
 def _overflowing(model):
     """Finite weights whose logits overflow on rows of HUGE features and
     stay finite on standard-normal ones."""
-    model.params["output.weights"] = np.full_like(model.params["output.weights"], 1e300)
+    model.params["output.weights"][...] = np.full_like(model.params["output.weights"], 1e300)
     return model
 
 

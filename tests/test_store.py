@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flowsentinel.dataset import default_taxonomy
-from flowsentinel.errors import ModelStoreError
+from flowsentinel.errors import DataError, ModelStoreError
 from flowsentinel.pipeline import fit_standardizer
 from flowsentinel.store import (
     FORMAT_VERSION,
@@ -18,7 +18,8 @@ from flowsentinel.store import (
 )
 from flowsentinel.tensor import Tensor
 from flowsentinel.trainer import (
-    ArchitectureConfig, TrainConfig, build_model, param_shapes, predict,
+    ArchitectureConfig, ModelParams, TrainConfig, build_model, param_shapes,
+    predict,
 )
 
 
@@ -199,7 +200,13 @@ def test_saved_directory_is_the_architecture_layout(tmp_path, features, classes)
     save_model(str(path), build_model(arch, rng), pre, default_taxonomy(),
                metadata, [f"f{i}" for i in range(features)])
     header, payload = _header_of(path)
-    assert header["tensors"] == _directory(param_shapes(arch))
+    assert header["tensors"] == _directory(arch)
+    offset = 0  # each tensor's values follow the previous one's
+    for entry, (name, shape) in zip(header["tensors"], param_shapes(arch).items(),
+                                    strict=True):
+        assert entry == {"name": name, "shape": list(shape), "offset": offset,
+                         "byte_length": 8 * math.prod(shape)}
+        offset += entry["byte_length"]
     last = header["tensors"][-1]
     assert len(payload) == last["offset"] + last["byte_length"]
 
@@ -263,17 +270,25 @@ def test_save_into_missing_directory_names_the_target(saved, tmp_path):
 
 def test_save_refuses_a_table_the_reader_would_refuse(saved, tmp_path):
     _, model, pre, metadata, names = saved
-    good = dict(model.params)
-    model.params["conv1.weights"] = good["conv1.weights"].copy()
     model.params["conv1.weights"][0, 0, 0] = np.nan
     with pytest.raises(ModelStoreError, match="conv1.weights holds a non-finite"):
         save_model(str(tmp_path / "nan.fsnt"), model, pre, default_taxonomy(),
                    metadata, names)
-    model.params = {**good, "extra.bias": np.zeros(3)}
-    with pytest.raises(ModelStoreError, match="tensor directory has 9 entries"):
-        save_model(str(tmp_path / "extra.fsnt"), model, pre, default_taxonomy(),
-                   metadata, names)
+    # a table with an extra entry cannot be built, so no writer sees one
+    with pytest.raises(DataError, match="vector of"):
+        ModelParams(model.arch, np.concatenate([model.values, np.zeros(3)]))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.fsnt"]
+
+
+def test_loaded_values_are_writable_and_own_their_bytes(saved):
+    path, model, *_ = saved
+    original = path.read_bytes()
+    loaded = load_model(str(path))[0]
+    assert loaded.values.flags.writeable and loaded.values.flags.owndata
+    loaded.params["output.bias"][...] = 7.0
+    assert loaded.values[-2:].tolist() == [7.0, 7.0]
+    assert path.read_bytes() == original
+    assert np.array_equal(load_model(str(path))[0].values, model.values)
 
 
 def test_nan_metrics_become_null_in_strict_json_header(saved, tmp_path):

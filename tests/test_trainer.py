@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from flowsentinel.pipeline import (
 from flowsentinel.tensor import Tensor
 from flowsentinel.trainer import (
     ArchitectureConfig,
+    ModelParams,
     TrainConfig,
     backward,
     build_model,
@@ -24,6 +26,8 @@ from flowsentinel.trainer import (
     flatten_length,
     forward,
     param_shapes,
+    param_slices,
+    param_views,
     predict,
     shape_chain,
     train,
@@ -154,7 +158,7 @@ def test_end_to_end_gradient_matches_finite_differences():
         y = rng.integers(0, 3)
         logits, activations = forward(model, x[None])  # the N=1 batch
         lv = softmax_ce_grad(logits, np.array([y]))
-        grads = backward(model, activations, lv.grad)
+        grads = param_views(model.arch, backward(model, activations, lv.grad))
         loss = float(lv.loss[0])
         params = {name: p.copy() for name, p in model.params.items()}
         assert abs(fast_model_loss(params, x, y) - loss) <= 1e-12 * max(1.0, abs(loss))
@@ -297,16 +301,65 @@ def test_early_stopping_stops_and_restores_best():
     assert hist.val_loss[hist.best_epoch] == best
 
 
-def test_divergence_guard_names_epoch_batch_and_parameter(monkeypatch):
+@pytest.mark.parametrize("end", ["first", "last"])
+@pytest.mark.parametrize("name", list(param_shapes(ArchitectureConfig(16, 3))))
+def test_divergence_guard_names_epoch_batch_and_parameter(monkeypatch, name, end):
+    # Batch 2's update makes one value of `name` non-finite: the first or the
+    # last of its slice, so every slice boundary of the lookup is crossed.
     import flowsentinel.trainer as trainer_module
+    from flowsentinel.optim import adam_step
 
     _, _, _, _, split, _, x3, y = _prepared_blobs(20, seed=3, val_fraction=0.2)
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
-    monkeypatch.setattr(trainer_module, "adam_step",
-                        lambda state, params, grads: params + np.inf)
+    where = param_slices(model.arch)[name]
+    index = where.start if end == "first" else where.stop - 1
+    before = []  # the parameters each batch starts from
+
+    def poisoning_step(state, params, grads):
+        before.append(params.copy())
+        updated = adam_step(state, params, grads)
+        if len(before) == 2:
+            updated[index] = np.nan if end == "first" else -np.inf
+        return updated
+
+    monkeypatch.setattr(trainer_module, "adam_step", poisoning_step)
     with pytest.raises(DataError,
-                       match="epoch 1, batch 1: conv1.weights is not finite"):
+                       match=f"epoch 1, batch 2: {re.escape(name)} is not finite"):
         train(model, x3, y, TrainConfig(epochs=2, seed=0), split=split)
+    assert len(before) == 2
+    assert not np.array_equal(before[1], before[0])  # batch 1 was applied
+    assert np.array_equal(model.values, before[1])  # batch 2 was not
+    assert np.isfinite(model.values).all()
+
+
+def test_model_params_is_one_vector_with_read_only_named_views():
+    model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        model.params["output.bias"] = np.ones(3)
+    for name in ("arch", "values", "params"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, getattr(model, name))
+    model.params["output.bias"][...] = [1.0, 2.0, 3.0]
+    model.params["conv1.weights"][0, 0, 0] = 4.0
+    assert model.values[-3:].tolist() == [1.0, 2.0, 3.0]
+    assert model.values[0] == 4.0
+    for name, view in model.params.items():
+        assert np.shares_memory(view, model.values), name
+
+
+@pytest.mark.parametrize("values", [
+    lambda n: np.zeros(n - 1),
+    lambda n: np.zeros(n + 1),
+    lambda n: np.zeros((1, n)),
+    lambda n: np.zeros(n, dtype=np.int64),
+    lambda n: np.zeros(2 * n)[::2],
+    lambda n: [0.0] * n,
+], ids=["short", "long", "2-d", "int64", "strided", "list"])
+def test_model_params_refuses_a_vector_that_does_not_lay_out(values):
+    arch = ArchitectureConfig(16, 3)
+    count = build_model(arch, np.random.default_rng(0)).values.size
+    with pytest.raises(DataError, match=f"float64 vector of {count} values"):
+        ModelParams(arch, values(count))
 
 
 def test_early_stopping_requires_validation_samples():
@@ -346,8 +399,8 @@ def test_predict_probabilities_and_memorized_labels(memorizer):
 
 def test_predict_tie_breaks_to_lowest_index():
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
-    model.params["output.weights"] = np.zeros((3, 128))
-    model.params["output.bias"] = np.zeros(3)
+    model.params["output.weights"][...] = np.zeros((3, 128))
+    model.params["output.bias"][...] = np.zeros(3)
     pre = fit_standardizer(
         Tensor(np.random.default_rng(1).standard_normal((8, 16)))
     )
@@ -359,8 +412,8 @@ def test_predict_tie_breaks_to_lowest_index():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_predict_rejects_non_finite_outputs():
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
-    model.params["dense1.bias"] = np.full(128, 1e10)
-    model.params["output.weights"] = np.full((3, 128), 1e300)
+    model.params["dense1.bias"][...] = np.full(128, 1e10)
+    model.params["output.weights"][...] = np.full((3, 128), 1e300)
     pre = fit_standardizer(
         Tensor(np.random.default_rng(1).standard_normal((8, 16)))
     )
