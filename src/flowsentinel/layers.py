@@ -25,6 +25,10 @@ its batch:
   ascending order, and the bias added last;
 - parameter gradients: the first sample's gradient, then each later
   sample's added in batch order. No per-sample gradient stack is built.
+
+The forward folds each run in one np.einsum call (`_fold_einsum`). That
+holds while einsum's multiply-add is not fused to an FMA, as in numpy's
+x86-64 wheels; the oracle tests fail if it breaks. aarch64 is unverified.
 """
 
 from __future__ import annotations
@@ -61,12 +65,6 @@ class LayerGrads:
     d_input: np.ndarray  # one row per sample
 
 
-# Bytes of product terms the dense forward pass folds per numpy call: enough
-# columns to amortise the call cost on narrow layers, few enough to stay in
-# cache on wide ones.
-_FOLD_BLOCK_BYTES = 1 << 19
-
-
 def fold_sum(stack: np.ndarray) -> np.ndarray:
     """Left-fold sum over axis 0 of a C-contiguous stack.
 
@@ -85,17 +83,29 @@ def fold_sum(stack: np.ndarray) -> np.ndarray:
     return np.add.accumulate(stack, axis=0)[-1]
 
 
+def _fold_einsum(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """einsum contracting the leading axis j of a and b, as the left fold from
+    0 in ascending j: on C-contiguous operands j is outermost, and einsum adds
+    a[j]*b[j] into the output per j. A single-element output would leave j
+    to einsum's unrolled reduction, so `fold_sum` folds that shape."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if a[0].size * b[0].size != 1:
+        return np.einsum(spec, a, b)
+    products = a.reshape(len(a), 1) * b.reshape(len(b), 1)
+    return fold_sum(products).reshape(a.shape[1:] + b.shape[1:])
+
+
 def conv1d_forward(layer: Conv1DLayer, x: np.ndarray) -> np.ndarray:
-    """out[n,t,f] = bias[f] + sum over ascending (c,k) of w[f,c,k]*x[n,t+k,c]."""
-    t_out = x.shape[1] - layer.kernel_size + 1
-    w = np.ascontiguousarray(layer.weights.transpose(1, 2, 0))  # (c,k,f)
-    out = np.empty((x.shape[0], t_out, layer.filters))
-    out[...] = layer.bias
-    term = np.empty_like(out)
-    for c in range(layer.in_channels):
-        for k in range(layer.kernel_size):
-            out += np.multiply(x[:, k : k + t_out, c, None], w[c, k], out=term)
-    return out
+    """out[n,t,f] = bias[f] + sum over ascending (c,k) of w[f,c,k]*x[n,t+k,c].
+
+    im2col: a row of ones meets the bias, so each fold runs 0 + 1*bias, then
+    the taps. A -0.0 bias gives +0.0; `params - update` never makes one."""
+    taps = sliding_window_view(x, layer.kernel_size, axis=1).transpose(2, 3, 0, 1)
+    cols = np.empty((1 + taps.shape[0] * taps.shape[1],) + taps.shape[2:])
+    cols[0] = 1.0
+    cols[1:].reshape(taps.shape)[...] = taps  # (in_ch, k, N, t_out)
+    w = layer.weights.transpose(1, 2, 0).reshape(-1, layer.filters)
+    return _fold_einsum("jnt,jf->ntf", cols, np.vstack([layer.bias, w]))
 
 
 def conv1d_backward(
@@ -153,20 +163,9 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """y[n] = W x[n] + b, each row summed in ascending column order."""
-    in_dim = layer.weights.shape[1]
-    xt = np.ascontiguousarray(x.T)[:, :, None]  # (in, N, 1)
-    wt = np.ascontiguousarray(layer.weights.T)[:, None, :]  # (in, 1, out)
-    out = xt[0] * wt[0]
-    # Fold the column terms a block at a time: the running sum, then the
-    # block's products, stacked and left-folded in one call.
-    block = max(1, _FOLD_BLOCK_BYTES // max(1, out.nbytes))
-    stack = np.empty((min(block, in_dim - 1) + 1,) + out.shape)
-    for j in range(1, in_dim, block):
-        m = min(block, in_dim - j)
-        stack[0] = out
-        np.multiply(xt[j : j + m], wt[j : j + m], out=stack[1 : m + 1])
-        out = fold_sum(stack[: m + 1])
+    """y[n] = W x[n] + b, each row summed in ascending column order from 0,
+    then the bias (so a -0.0 bias can give +0.0, as in the conv)."""
+    out = _fold_einsum("jn,jo->no", x.T, layer.weights.T)
     out += layer.bias
     return out
 

@@ -223,11 +223,11 @@ def load_model(
             raise ModelStoreError(f"{path}: architecture.{exc}") from exc
         entries = _check_directory(path, arch, header["tensors"])
         expected_total = sum(entry["byte_length"] for entry in entries)
-        if len(payload) != expected_total:
+        if (gap := expected_total - len(payload)) != 0:
             raise ModelStoreError(
-                f"{path}: payload truncated, expected {expected_total} bytes, "
-                f"found {len(payload)} (short by {expected_total - len(payload)})"
-            )
+                f"{path}: payload {'truncated' if gap > 0 else 'too long'}, "
+                f"expected {expected_total} bytes, found {len(payload)} "
+                + (f"(short by {gap})" if gap > 0 else f"({-gap} extra)"))
         # astype copies: the model's values are writable and own their bytes
         model = ModelParams(arch, np.frombuffer(payload, "<f8").astype(np.float64))
         _check_finite(path, model)

@@ -27,6 +27,19 @@ def conv1d_brute(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def dense_brute(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """y[n] = W x[n] + b for an (N, in) batch, by an explicit loop over the
+    columns: the first column's term, then each later column's term added in
+    ascending order, then the bias. Each step is one elementwise product and
+    one elementwise add over the (sample, unit) grid, which round exactly as
+    scalar float operations do.
+    """
+    out = x[:, 0, None] * w[None, :, 0]
+    for j in range(1, x.shape[1]):
+        out = out + x[:, j, None] * w[None, :, j]
+    return out + b
+
+
 def pool_flat_index(x: np.ndarray, pool: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Max pooling of an (N, L, C) batch by window argmax and flat indices,
     the route the pairwise-maximum kernel replaced, kept as its reference.

@@ -223,6 +223,18 @@ def test_corrupt_model_is_exit_3(trained_model, tmp_path, capsys, recwarn,
     assert reason in captured.err
 
 
+def test_extended_model_is_exit_3(trained_model, tmp_path, capsys, recwarn):
+    _, good = trained_model
+    bad = tmp_path / "long.fsnt"
+    bad.write_bytes(Path(good).read_bytes() + bytes(8))
+    capsys.readouterr()
+    assert run(["inspect", "--model", str(bad)]) == 3
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert "payload too long" in captured.err
+    assert captured.err.rstrip().endswith("(8 extra)")
+
+
 def _both_tasks(header, task):
     header["preprocessing"]["task"] = header["metadata"]["task"] = task
 

@@ -136,6 +136,14 @@ def test_truncated_payload_reports_shortfall(saved, tmp_path):
         load_model(str(bad))
 
 
+def test_extended_payload_reports_extra_bytes(saved, tmp_path):
+    path, *_ = saved
+    bad = tmp_path / "long.fsnt"
+    bad.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ModelStoreError, match=r"payload too long, .* \(8 extra\)$"):
+        load_model(str(bad))
+
+
 def test_unknown_version_names_it(saved, tmp_path):
     path, *_ = saved
     blob = path.read_bytes()
