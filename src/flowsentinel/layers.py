@@ -23,12 +23,19 @@ its batch:
   (channel, tap) in ascending order;
 - dense forward: acc = the first column's term, then each later column's in
   ascending order, and the bias added last;
-- parameter gradients: the first sample's gradient, then each later
-  sample's added in batch order. No per-sample gradient stack is built.
+- dense input gradient: 0, then g[n,o] * w[o,i] for each unit o in ascending
+  order;
+- parameter gradients: each sample's gradient added in batch order, the
+  dense weights' onto 0 and the others' onto the first sample's. No
+  per-sample gradient stack is built.
 
-The forward folds each run in one np.einsum call (`_fold_einsum`). That
-holds while einsum's multiply-add is not fused to an FMA, as in numpy's
-x86-64 wheels; the oracle tests fail if it breaks. aarch64 is unverified.
+Backward kernels return plain `(d_weights, d_bias, d_input)`: the first two
+summed over the batch, the last one row per sample.
+
+The forward folds and the dense backward's weight and input gradients each
+run in one np.einsum call (`_fold_einsum`). That holds while einsum's
+multiply-add is not fused to an FMA, as in numpy's x86-64 wheels; the oracle
+tests fail if it breaks. aarch64 is unverified.
 """
 
 from __future__ import annotations
@@ -56,15 +63,6 @@ class DenseLayer:
     bias: np.ndarray  # (out,)
 
 
-@dataclass
-class LayerGrads:
-    """Gradients of one layer call."""
-
-    d_weights: np.ndarray  # summed over the batch in sample order
-    d_bias: np.ndarray  # summed over the batch in sample order
-    d_input: np.ndarray  # one row per sample
-
-
 def fold_sum(stack: np.ndarray) -> np.ndarray:
     """Left-fold sum over axis 0 of a C-contiguous stack.
 
@@ -87,7 +85,9 @@ def _fold_einsum(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """einsum contracting the leading axis j of a and b, as the left fold from
     0 in ascending j: on C-contiguous operands j is outermost, and einsum adds
     a[j]*b[j] into the output per j. A single-element output would leave j
-    to einsum's unrolled reduction, so `fold_sum` folds that shape."""
+    to einsum's unrolled reduction, so `fold_sum` folds that shape. The
+    forward kernels contract columns this way; the dense backward contracts
+    samples for the weight gradient and units for the input gradient."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     if a[0].size * b[0].size != 1:
         return np.einsum(spec, a, b)
@@ -110,7 +110,7 @@ def conv1d_forward(layer: Conv1DLayer, x: np.ndarray) -> np.ndarray:
 
 def conv1d_backward(
     layer: Conv1DLayer, x: np.ndarray, grad_out: np.ndarray
-) -> LayerGrads:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w = layer.weights
     n, length, _ = x.shape
     k = layer.kernel_size
@@ -129,7 +129,7 @@ def conv1d_backward(
         d_input[:, tap : tap + t_out] += np.einsum(
             "ntf,fc->ntc", grad_out, w[:, :, tap]
         )
-    return LayerGrads(d_weights=d_weights, d_bias=d_bias, d_input=d_input)
+    return d_weights, d_bias, d_input
 
 
 def maxpool1d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,14 +172,11 @@ def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
 
 def dense_backward(
     layer: DenseLayer, x: np.ndarray, grad_out: np.ndarray
-) -> LayerGrads:
-    d_weights = np.multiply(grad_out[0, :, None], x[0])  # outer product
-    term = np.empty_like(d_weights)
-    for i in range(1, x.shape[0]):
-        d_weights += np.multiply(grad_out[i, :, None], x[i], out=term)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    d_weights = _fold_einsum("no,ni->oi", grad_out, x)
     d_bias = fold_sum(grad_out)
-    d_input = np.einsum("ni,ij->nj", grad_out, layer.weights)
-    return LayerGrads(d_weights=d_weights, d_bias=d_bias, d_input=d_input)
+    d_input = _fold_einsum("on,oi->ni", grad_out.T, layer.weights)
+    return d_weights, d_bias, d_input
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

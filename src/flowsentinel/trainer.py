@@ -270,19 +270,20 @@ def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
 def backward(
     model: ModelParams, activations: tuple, grad_logits: np.ndarray
 ) -> np.ndarray:
-    """The parameter gradient as one vector laid out as `model.values`,
-    each value summed over the batch in sample order."""
+    """The parameter gradient as one vector laid out as `model.values`, each
+    kernel writing its sums over the batch (in sample order) into its slices."""
     conv1, conv2, dense1, output = _layers(model)
     x, c1, mask1, p1, c2, mask2, flat, h, hr = activations
-    g_out = L.dense_backward(output, hr, grad_logits)
-    g_h = L.relu_backward(h, g_out.d_input)
-    g_dense1 = L.dense_backward(dense1, flat, g_h)
-    d_c2 = L.relu_backward(c2, _unpool(mask2, g_dense1.d_input, c2.shape))
-    g_conv2 = L.conv1d_backward(conv2, p1, d_c2)
-    d_c1 = L.relu_backward(c1, _unpool(mask1, g_conv2.d_input, c1.shape))
-    g_conv1 = L.conv1d_backward(conv1, x, d_c1)
-    return np.concatenate([g.ravel() for lg in (g_conv1, g_conv2, g_dense1, g_out)
-                           for g in (lg.d_weights, lg.d_bias)])
+    g = param_views(model.arch, grads := np.empty_like(model.values))
+    g["output.weights"][...], g["output.bias"][...], d_hr = L.dense_backward(
+        output, hr, grad_logits)
+    g["dense1.weights"][...], g["dense1.bias"][...], d_flat = L.dense_backward(
+        dense1, flat, L.relu_backward(h, d_hr))
+    g["conv2.weights"][...], g["conv2.bias"][...], d_p1 = L.conv1d_backward(
+        conv2, p1, L.relu_backward(c2, _unpool(mask2, d_flat, c2.shape)))
+    g["conv1.weights"][...], g["conv1.bias"][...], _ = L.conv1d_backward(
+        conv1, x, L.relu_backward(c1, _unpool(mask1, d_p1, c1.shape)))
+    return grads
 
 
 def _correct(logits: np.ndarray, targets: np.ndarray) -> int:

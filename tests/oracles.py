@@ -40,6 +40,25 @@ def dense_brute(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out + b
 
 
+def dense_backward_brute(x: np.ndarray, w: np.ndarray,
+                         grad_out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(d_weights, d_bias, d_input) of y[n] = W x[n] + b for an (N, in) batch.
+
+    d_weights and d_bias start from 0 and add each sample's outer product and
+    gradient row in a loop over the samples, in batch order; d_input starts
+    from 0 and adds grad_out[:, o] * W[o] for each unit o in ascending order.
+    """
+    d_weights = np.zeros(w.shape)
+    d_bias = np.zeros(w.shape[0])
+    for i in range(x.shape[0]):
+        d_weights = d_weights + grad_out[i, :, None] * x[i]
+        d_bias = d_bias + grad_out[i]
+    d_input = np.zeros(x.shape)
+    for o in range(w.shape[0]):
+        d_input = d_input + grad_out[:, o, None] * w[o]
+    return d_weights, d_bias, d_input
+
+
 def pool_flat_index(x: np.ndarray, pool: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Max pooling of an (N, L, C) batch by window argmax and flat indices,
     the route the pairwise-maximum kernel replaced, kept as its reference.

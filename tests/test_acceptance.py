@@ -82,14 +82,14 @@ def test_criterion_1_gradient_suite():
             b = rng.standard_normal(3)
             probe = rng.standard_normal((6, 3))
             layer = Conv1DLayer(w, b)
-            grads = conv1d_backward(layer, x[None], probe[None])
+            d_weights, d_bias, d_input = conv1d_backward(layer, x[None], probe[None])
 
             def conv_loss():
                 return float(np.sum(conv1d_brute(x, w, b) * probe))
 
-            for analytic, target in ((grads.d_weights, w),
-                                     (grads.d_bias, b),
-                                     (grads.d_input[0], x)):
+            for analytic, target in ((d_weights, w),
+                                     (d_bias, b),
+                                     (d_input[0], x)):
                 assert_grad_close(analytic, central_diff(conv_loss, target),
                                   rel=1e-6, floor=1e-3, label="conv")
 
@@ -123,14 +123,14 @@ def test_criterion_1_gradient_suite():
             xd = rng.standard_normal(7)
             probe_d = rng.standard_normal(5)
             dlayer = DenseLayer(wd, bd)
-            dgrads = dense_backward(dlayer, xd[None], probe_d[None])
+            d_wd, d_bd, d_xd = dense_backward(dlayer, xd[None], probe_d[None])
 
             def dense_loss():
                 return float(np.sum((wd @ xd + bd) * probe_d))
 
-            for analytic, target in ((dgrads.d_weights, wd),
-                                     (dgrads.d_bias, bd),
-                                     (dgrads.d_input[0], xd)):
+            for analytic, target in ((d_wd, wd),
+                                     (d_bd, bd),
+                                     (d_xd[0], xd)):
                 assert_grad_close(analytic, central_diff(dense_loss, target),
                                   rel=1e-6, floor=1e-3, label="dense")
 

@@ -58,13 +58,12 @@ def test_conv_batch_equals_single_samples_and_oracle(n):
             want = conv1d_brute(x[i], layer.weights, layer.bias)
             assert np.array_equal(out[i], want), f"row {i}"
 
-        grads = L.conv1d_backward(layer, x, g)
+        d_weights, d_bias, d_input = L.conv1d_backward(layer, x, g)
         per = [L.conv1d_backward(layer, x[i : i + 1], g[i : i + 1])
                for i in range(n)]
-        assert np.array_equal(grads.d_weights,
-                              _in_order_sum([p.d_weights for p in per]))
-        assert np.array_equal(grads.d_bias, _in_order_sum([p.d_bias for p in per]))
-        assert np.array_equal(grads.d_input, np.stack([p.d_input[0] for p in per]))
+        assert np.array_equal(d_weights, _in_order_sum([p[0] for p in per]))
+        assert np.array_equal(d_bias, _in_order_sum([p[1] for p in per]))
+        assert np.array_equal(d_input, np.stack([p[2][0] for p in per]))
 
 
 @pytest.mark.parametrize("n", BATCH_SIZES)
@@ -78,13 +77,12 @@ def test_dense_batch_equals_single_samples(n):
         singles = [L.dense_forward(layer, x[i : i + 1])[0] for i in range(n)]
         assert np.array_equal(out, np.stack(singles))
 
-        grads = L.dense_backward(layer, x, g)
+        d_weights, d_bias, d_input = L.dense_backward(layer, x, g)
         per = [L.dense_backward(layer, x[i : i + 1], g[i : i + 1])
                for i in range(n)]
-        assert np.array_equal(grads.d_weights,
-                              _in_order_sum([p.d_weights for p in per]))
-        assert np.array_equal(grads.d_bias, _in_order_sum([p.d_bias for p in per]))
-        assert np.array_equal(grads.d_input, np.stack([p.d_input[0] for p in per]))
+        assert np.array_equal(d_weights, _in_order_sum([p[0] for p in per]))
+        assert np.array_equal(d_bias, _in_order_sum([p[1] for p in per]))
+        assert np.array_equal(d_input, np.stack([p[2][0] for p in per]))
 
 
 @pytest.mark.parametrize("n", BATCH_SIZES)

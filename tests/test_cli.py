@@ -1,8 +1,14 @@
+import csv
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsentinel import cli
 from flowsentinel.cli import run
@@ -233,6 +239,53 @@ def test_extended_model_is_exit_3(trained_model, tmp_path, capsys, recwarn):
     _assert_one_error_line(captured, recwarn)
     assert "payload too long" in captured.err
     assert captured.err.rstrip().endswith("(8 extra)")
+
+
+def _mutate(data, blob):
+    """One damaged copy of a model file: truncated, extended, bit-flipped (half
+    the flips aimed at the magic, length field and header), or with a span of
+    the length field and header overwritten by another span of them."""
+    header_end = 12 + int.from_bytes(blob[8:12], "little")
+    kind = data.draw(st.sampled_from(["truncate", "extend", "flip", "splice"]))
+    if kind == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    if kind == "extend":
+        return blob + data.draw(st.binary(min_size=1, max_size=64))
+    if kind == "flip":
+        out = bytearray(blob)
+        for _ in range(data.draw(st.integers(1, 4))):
+            bit = data.draw(st.integers(0, 8 * header_end - 1)
+                            | st.integers(0, 8 * len(blob) - 1))
+            out[bit // 8] ^= 1 << bit % 8
+        return bytes(out)
+    start, source = (data.draw(st.integers(8, header_end - 1)) for _ in range(2))
+    piece = blob[source : source + data.draw(st.integers(1, 32))]
+    return blob[:start] + piece + blob[start + len(piece) :]
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_damaged_model_files_keep_the_exit_contract(trained_model, data):
+    # Every damaged file ends in an exit code, never an exception; a failure
+    # is one error line and no output, and predict prints no NaN.
+    csv_path, good = trained_model
+    bad = Path(good).with_name("fuzzed.fsnt")
+    bad.write_bytes(_mutate(data, Path(good).read_bytes()))
+    for argv in (["inspect", "--model", str(bad)],
+                 ["predict", "--model", str(bad), "--data", csv_path]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+        if code:
+            assert code in (1, 2, 3)
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1 and out.getvalue() == ""
+            continue
+        assert err.getvalue() == ""
+        if argv[0] == "predict":
+            probs = [v for row in list(csv.reader(io.StringIO(out.getvalue())))[1:]
+                     for v in row[1:]]
+            assert probs and all(math.isfinite(float(v)) for v in probs)
 
 
 def _both_tasks(header, task):

@@ -1,11 +1,11 @@
-"""The forward kernels give the loop oracles' bytes, at every SIMD level.
+"""The fold kernels give the loop oracles' bytes, at every SIMD level.
 
-`conv1d_forward` and `dense_forward` each run their left fold inside one
-np.einsum call. The properties compare them byte for byte with
-`conv1d_brute` and `dense_brute` over random shapes, single-element outputs
-included. The restricted-dispatch tests re-run the oracle and batch tests
-with numpy's wider SIMD targets switched off; numpy reads that setting at
-import, so they run in a child process.
+`conv1d_forward`, `dense_forward` and `dense_backward` run their left folds
+inside np.einsum calls. The properties compare them byte for byte with
+`conv1d_brute`, `dense_brute` and `dense_backward_brute` over random shapes,
+single-element outputs included. The restricted-dispatch tests re-run the
+oracle, batch and Adam tests with numpy's wider SIMD targets switched off;
+numpy reads that setting at import, so they run in a child process.
 """
 
 import os
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from flowsentinel import layers as L
 
-from oracles import conv1d_brute, dense_brute
+from oracles import conv1d_brute, dense_backward_brute, dense_brute
 
 # Scalar multiply-adds that one conv example may cost the loop oracle, on top
 # of the single output position every shape gets.
@@ -95,6 +95,37 @@ def test_dense_forward_bytes_equal_brute(n, in_dim, out_dim, seed, relu, zero_ro
     assert got.tobytes() == dense_brute(x, layer.weights, layer.bias).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 600), st.integers(1, 140), _seeds,
+       st.booleans(), st.booleans(), st.booleans())
+@example(1, 300, 70, 0, True, False, False)  # one sample
+@example(7, 1, 1, 1, True, True, False)  # single-element weight gradient
+@example(3, 4, 2, 2, True, False, True)
+def test_dense_backward_bytes_equal_brute(n, in_dim, out_dim, seed, relu,
+                                          zero_rows, dead_unit):
+    # relu draws the zeros of ReLU inputs and of relu_backward's gradients.
+    # A dead unit (input 0 is 0 in every sample, unit 0's gradient always
+    # negative) makes each term of d_weights[0, 0] -0.0; the fold from 0
+    # gives +0.0 there. `+ 0.0` maps -0.0 to +0.0 and keeps every other
+    # value, so the bias's fold from its first sample compares too.
+    rng = np.random.default_rng(seed)
+    x = _values(rng, (n, in_dim), relu, zero_rows)
+    grad_out = _values(rng, (n, out_dim), False, False)
+    if relu:
+        grad_out[rng.random((n, out_dim)) < 0.3] = 0.0
+    if dead_unit:
+        x[:, 0] = 0.0
+        grad_out[:, 0] = -1.0 - np.abs(grad_out[:, 0])
+    w = rng.standard_normal((out_dim, in_dim))
+    got = L.dense_backward(L.DenseLayer(weights=w, bias=_bias(rng, out_dim)),
+                           x, grad_out)
+    want = dense_backward_brute(x, w, grad_out)
+    for name, g, o in zip(("d_weights", "d_bias", "d_input"), got, want):
+        assert (g + 0.0).tobytes() == (o + 0.0).tobytes(), name
+    if dead_unit and out_dim * in_dim > 1:  # else fold_sum keeps the sign
+        assert got[0][0, 0].tobytes() == np.float64(0.0).tobytes()
+
+
 _RESTRICTED = "AVX512_SPR AVX512_ICL X86_V4"
 _TESTS = Path(__file__).resolve().parent
 
@@ -113,7 +144,8 @@ def test_oracle_and_batch_bytes_under_restricted_dispatch(features):
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_layers.py", "tests/test_batch.py", "tests/test_tensor.py",
-         "tests/test_fold_kernels.py", "-k", "not restricted_dispatch"],
+         "tests/test_fold_kernels.py", "tests/test_optim.py",
+         "-k", "not restricted_dispatch"],
         cwd=_TESTS.parent, env=env, capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]

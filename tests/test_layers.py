@@ -78,20 +78,21 @@ def test_conv_backward_hand_example():
     # d_w[k] = sum_t g[t]*x[t+k] = [1+2, 2+3, 3+4]; d_b = 2;
     # d_x spreads w over the two windows: [1, 1, -1, -1].
     layer = _conv([[[1.0, 0.0, -1.0]]], [0.0])
-    grads = conv1d_backward(layer, _col([1, 2, 3, 4])[None], _col([1, 1])[None])
-    assert grads.d_weights.tolist() == [[[3.0, 5.0, 7.0]]]
-    assert grads.d_bias.tolist() == [2.0]
-    assert grads.d_input[0].tolist() == [[1.0], [1.0], [-1.0], [-1.0]]
+    d_weights, d_bias, d_input = conv1d_backward(
+        layer, _col([1, 2, 3, 4])[None], _col([1, 1])[None])
+    assert d_weights.tolist() == [[[3.0, 5.0, 7.0]]]
+    assert d_bias.tolist() == [2.0]
+    assert d_input[0].tolist() == [[1.0], [1.0], [-1.0], [-1.0]]
 
 
 def test_conv_backward_zero_grad_out():
     rng = np.random.default_rng(7)
     layer = _conv(rng.standard_normal((3, 2, 3)), rng.standard_normal(3))
     x = rng.standard_normal((6, 2))
-    grads = conv1d_backward(layer, x[None], np.zeros((1, 4, 3)))
-    assert not grads.d_weights.any()
-    assert not grads.d_bias.any()
-    assert not grads.d_input.any()
+    d_weights, d_bias, d_input = conv1d_backward(layer, x[None], np.zeros((1, 4, 3)))
+    assert not d_weights.any()
+    assert not d_bias.any()
+    assert not d_input.any()
 
 
 def test_conv_backward_finite_differences():
@@ -106,11 +107,11 @@ def test_conv_backward_finite_differences():
         def loss():
             return float(np.sum(conv1d_brute(x, w, b) * probe))
 
-        grads = conv1d_backward(_conv(w, b), x[None], probe[None])
+        d_weights, d_bias, d_input = conv1d_backward(_conv(w, b), x[None], probe[None])
         for analytic, target in (
-            (grads.d_weights, w),
-            (grads.d_bias, b),
-            (grads.d_input[0], x),
+            (d_weights, w),
+            (d_bias, b),
+            (d_input[0], x),
         ):
             numeric = central_diff(loss, target, h=1e-6)
             assert_grad_close(analytic, numeric, rel=1e-6, floor=1e-3,
@@ -235,10 +236,11 @@ def test_dense_forward_hand_example():
 def test_dense_backward_hand_example():
     layer = DenseLayer(weights=np.array([[1.0, 2.0], [3.0, 4.0]]),
                        bias=np.zeros(2))
-    grads = dense_backward(layer, np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]))
-    assert grads.d_weights.tolist() == [[1.0, 1.0], [0.0, 0.0]]
-    assert grads.d_bias.tolist() == [1.0, 0.0]
-    assert grads.d_input[0].tolist() == [1.0, 2.0]
+    d_weights, d_bias, d_input = dense_backward(
+        layer, np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]))
+    assert d_weights.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+    assert d_bias.tolist() == [1.0, 0.0]
+    assert d_input[0].tolist() == [1.0, 2.0]
 
 
 def test_dense_finite_differences():
@@ -253,11 +255,11 @@ def test_dense_finite_differences():
             return float(np.sum((w @ x + b) * probe))
 
         layer = DenseLayer(weights=w, bias=b)
-        grads = dense_backward(layer, x[None], probe[None])
+        d_weights, d_bias, d_input = dense_backward(layer, x[None], probe[None])
         for analytic, target in (
-            (grads.d_weights, w),
-            (grads.d_bias, b),
-            (grads.d_input[0], x),
+            (d_weights, w),
+            (d_bias, b),
+            (d_input[0], x),
         ):
             numeric = central_diff(loss, target, h=1e-6)
             assert_grad_close(analytic, numeric, rel=1e-6, floor=1e-3,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsentinel import layers as L
 from flowsentinel.errors import DataError
@@ -173,6 +175,28 @@ def test_adam_over_the_joined_table_is_adam_over_its_pieces(features, classes):
         assert joined.tobytes() == b"".join(p.tobytes() for p in pieces)
         assert state.m.tobytes() == b"".join(s.m.tobytes() for s in states)
         assert state.v.tobytes() == b"".join(s.v.tobytes() for s in states)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_adam_ignores_the_sign_of_a_zero_gradient(size, steps, seed):
+    # m starts at +0.0 and never becomes -0.0: BETA1 * m is -0.0 only if m
+    # is, and +0.0 + -0.0 is +0.0. g * g is +0.0 for either zero. So a
+    # gradient fold that gives +0.0 where another gave -0.0 (the dense
+    # weight gradient's fold from 0) cannot change a model byte.
+    rng = np.random.default_rng(seed)
+    pos, neg = AdamState(shape=(size,)), AdamState(shape=(size,))
+    p_pos = p_neg = rng.standard_normal(size)
+    for _ in range(steps):
+        grads = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+        zero = rng.random(size) < 0.5
+        grads[zero] = 0.0
+        p_pos = adam_step(pos, p_pos, grads)
+        grads[zero] = -0.0
+        p_neg = adam_step(neg, p_neg, grads)
+        assert p_pos.tobytes() == p_neg.tobytes()
+        assert pos.m.tobytes() == neg.m.tobytes()
+        assert pos.v.tobytes() == neg.v.tobytes()
 
 
 def test_glorot_bound_is_one_for_fans_three():
