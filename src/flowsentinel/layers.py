@@ -16,31 +16,27 @@ The kernels check no shapes: callers guarantee them. `trainer.forward` and
 from `param_shapes(arch)` and `shape_chain(arch)`; `train` and
 `apply_standardizer` check the input at the public boundary.
 
-Every sum runs in a fixed order (`fold_sum` is the left fold), so results
-are bit-equal to naive loops and do not depend on N or on a sample's place in
-its batch:
-- conv forward: acc = bias, then acc += w[f,c,k] * x[t+k,c] for each
-  (channel, tap) in ascending order;
-- dense forward: acc = the first column's term, then each later column's in
-  ascending order, and the bias added last;
-- dense input gradient: 0, then g[n,o] * w[o,i] for each unit o in ascending
-  order;
-- parameter gradients: each sample's gradient added in batch order, the
-  dense weights' onto 0 and the others' onto the first sample's. No
-  per-sample gradient stack is built.
+Every sum is a left fold from 0 over its terms in ascending index order, so
+results are bit-equal to naive loops and do not depend on N or on a sample's
+place in its batch. A parameter gradient folds over t within each sample,
+then the samples' sums in batch order; no per-sample gradient stack is
+built. The dense forward adds the bias after its fold, and the conv input
+gradient adds its per-tap folds into zeros in tap order.
+
+The conv kernels share `_im2col`'s (1 + C*k, N, t_out) block: row 0 is ones,
+which meets the bias (so the conv output folds 1 * bias first, and d_bias is
+that row's fold against grad_out), and row 1 + c*k + tap holds x[n, t+tap, c].
 
 Backward kernels return plain `(d_weights, d_bias, d_input)`: the first two
 summed over the batch, the last one row per sample.
 
-The forward folds and the dense backward's weight and input gradients each
-run in one np.einsum call (`_fold_einsum`). That holds while einsum's
-multiply-add is not fused to an FMA, as in numpy's x86-64 wheels; the oracle
-tests fail if it breaks. aarch64 is unverified.
+Each fold runs in one np.einsum call (`_fold_einsum`). That holds while
+einsum's multiply-add is not fused to an FMA, as in numpy's x86-64 wheels;
+the oracle tests fail if it breaks. aarch64 is unverified.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,36 +59,31 @@ class DenseLayer:
     bias: np.ndarray  # (out,)
 
 
-def fold_sum(stack: np.ndarray) -> np.ndarray:
-    """Left-fold sum over axis 0 of a C-contiguous stack.
-
-    Equivalent to `acc = stack[0]; acc += stack[i]` in ascending i. Outer-axis
-    np.add.reduce performs exactly that fold when the inner block has more
-    than one element; for single-element blocks numpy switches to pairwise
-    summation, so np.add.accumulate (sequential by definition) is used there.
-    """
-    stack = np.ascontiguousarray(stack)
-    n = stack.shape[0]
-    if n == 1:
-        return stack[0].copy()
-    inner = math.prod(stack.shape[1:])
-    if inner > 1:
-        return np.add.reduce(stack, axis=0)
-    return np.add.accumulate(stack, axis=0)[-1]
-
-
 def _fold_einsum(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """einsum contracting the leading axis j of a and b, as the left fold from
     0 in ascending j: on C-contiguous operands j is outermost, and einsum adds
     a[j]*b[j] into the output per j. A single-element output would leave j
-    to einsum's unrolled reduction, so `fold_sum` folds that shape. The
-    forward kernels contract columns this way; the dense backward contracts
-    samples for the weight gradient and units for the input gradient."""
+    to einsum's unrolled reduction, so np.add.accumulate (sequential by
+    definition) folds that shape, and `+ 0.0` makes it the fold from 0. The
+    forward kernels contract columns this way; the backward kernels contract
+    t or samples for the parameter gradients, and filters or units for the
+    input gradients."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     if a[0].size * b[0].size != 1:
         return np.einsum(spec, a, b)
     products = a.reshape(len(a), 1) * b.reshape(len(b), 1)
-    return fold_sum(products).reshape(a.shape[1:] + b.shape[1:])
+    folded = np.add.accumulate(products, axis=0)[-1] + 0.0
+    return folded.reshape(a.shape[1:] + b.shape[1:])
+
+
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """The (1 + C*k, N, t_out) block of an (N, L, C) input: row 0 is ones,
+    to meet the bias, and row 1 + c*k + tap holds x[n, t + tap, c]."""
+    taps = sliding_window_view(x, k, axis=1).transpose(2, 3, 0, 1)
+    cols = np.empty((1 + taps.shape[0] * taps.shape[1],) + taps.shape[2:])
+    cols[0] = 1.0
+    cols[1:].reshape(taps.shape)[...] = taps  # (in_ch, k, N, t_out)
+    return cols
 
 
 def conv1d_forward(layer: Conv1DLayer, x: np.ndarray) -> np.ndarray:
@@ -100,36 +91,31 @@ def conv1d_forward(layer: Conv1DLayer, x: np.ndarray) -> np.ndarray:
 
     im2col: a row of ones meets the bias, so each fold runs 0 + 1*bias, then
     the taps. A -0.0 bias gives +0.0; `params - update` never makes one."""
-    taps = sliding_window_view(x, layer.kernel_size, axis=1).transpose(2, 3, 0, 1)
-    cols = np.empty((1 + taps.shape[0] * taps.shape[1],) + taps.shape[2:])
-    cols[0] = 1.0
-    cols[1:].reshape(taps.shape)[...] = taps  # (in_ch, k, N, t_out)
     w = layer.weights.transpose(1, 2, 0).reshape(-1, layer.filters)
-    return _fold_einsum("jnt,jf->ntf", cols, np.vstack([layer.bias, w]))
+    return _fold_einsum("jnt,jf->ntf", _im2col(x, layer.kernel_size),
+                        np.vstack([layer.bias, w]))
 
 
 def conv1d_backward(
     layer: Conv1DLayer, x: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    w = layer.weights
-    n, length, _ = x.shape
+    """The im2col block's ones row meets grad_out in d_bias, its other rows
+    in d_weights; each tap's input gradient is a fold over the filters."""
+    n, length, in_ch = x.shape
     k = layer.kernel_size
     t_out = length - k + 1
-    windows = sliding_window_view(x, k, axis=1)  # (N, t_out, in_ch, k)
-    # One einsum per sample, on that sample's contiguous slices: the same
-    # call, with the same operand layout, as for a lone sample, so its sum
-    # over t rounds the same way.
-    d_weights = np.einsum("tf,tck->fck", grad_out[0], windows[0])
-    term = np.empty_like(d_weights)
-    for i in range(1, n):
-        d_weights += np.einsum("tf,tck->fck", grad_out[i], windows[i], out=term)
-    d_bias = fold_sum(np.add.reduce(grad_out, axis=1))
-    d_input = np.zeros((n, length, layer.in_channels))
+    cols = _im2col(x, k)
+    total = np.zeros((len(cols), layer.filters))
+    for i in range(n):
+        total += _fold_einsum("tj,tf->jf", cols[:, i].T, grad_out[i])
+    del cols  # freed before grad_out's filter-major copy below
+    d_weights = total[1:].reshape(in_ch, k, layer.filters).transpose(2, 0, 1)
+    by_filter = np.ascontiguousarray(grad_out.transpose(2, 0, 1))
+    d_input = np.zeros((n, length, in_ch))
     for tap in range(k):
-        d_input[:, tap : tap + t_out] += np.einsum(
-            "ntf,fc->ntc", grad_out, w[:, :, tap]
-        )
-    return d_weights, d_bias, d_input
+        d_input[:, tap : tap + t_out] += _fold_einsum(
+            "fnt,fc->ntc", by_filter, layer.weights[:, :, tap])
+    return d_weights, total[0], d_input
 
 
 def maxpool1d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +160,7 @@ def dense_backward(
     layer: DenseLayer, x: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d_weights = _fold_einsum("no,ni->oi", grad_out, x)
-    d_bias = fold_sum(grad_out)
+    d_bias = _fold_einsum("no,n->o", grad_out, np.ones(len(grad_out)))
     d_input = _fold_einsum("on,oi->ni", grad_out.T, layer.weights)
     return d_weights, d_bias, d_input
 

@@ -59,6 +59,38 @@ def dense_backward_brute(x: np.ndarray, w: np.ndarray,
     return d_weights, d_bias, d_input
 
 
+def conv1d_backward_brute(x: np.ndarray, w: np.ndarray,
+                          grad_out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(d_weights, d_bias, d_input) of `conv1d_brute` for an (N, L, C) batch.
+
+    Per sample, the bias and weight terms start from 0 and add each output
+    position t in ascending order; d_weights and d_bias start from 0 and add
+    those per-sample sums in batch order. For d_input, each tap starts from 0
+    and adds grad_out[..., f] * w[f, :, tap] for each filter f in ascending
+    order, and the taps are added into zeros in ascending order.
+    """
+    n, length, in_ch = x.shape
+    filters, _, k = w.shape
+    t_out = length - k + 1
+    d_weights = np.zeros(w.shape)
+    d_bias = np.zeros(filters)
+    for i in range(n):
+        sample_w = np.zeros(w.shape)
+        sample_b = np.zeros(filters)
+        for t in range(t_out):
+            sample_w = sample_w + grad_out[i, t, :, None, None] * x[i, t : t + k].T
+            sample_b = sample_b + grad_out[i, t]
+        d_weights = d_weights + sample_w
+        d_bias = d_bias + sample_b
+    d_input = np.zeros(x.shape)
+    for tap in range(k):
+        per_tap = np.zeros((n, t_out, in_ch))
+        for f in range(filters):
+            per_tap = per_tap + grad_out[:, :, f, None] * w[f, :, tap]
+        d_input[:, tap : tap + t_out] = d_input[:, tap : tap + t_out] + per_tap
+    return d_weights, d_bias, d_input
+
+
 def pool_flat_index(x: np.ndarray, pool: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Max pooling of an (N, L, C) batch by window argmax and flat indices,
     the route the pairwise-maximum kernel replaced, kept as its reference.

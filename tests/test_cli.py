@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -286,6 +287,48 @@ def test_damaged_model_files_keep_the_exit_contract(trained_model, data):
             probs = [v for row in list(csv.reader(io.StringIO(out.getvalue())))[1:]
                      for v in row[1:]]
             assert probs and all(math.isfinite(float(v)) for v in probs)
+
+
+_CSV_INSERTS = (b'"', b"\x00", b"\x1c", b"nan", b"1e309", b"\xff\xfe", b"\xc3")
+
+
+def _mutate_csv(data, text):
+    """A good flow CSV with one to three edits: a quote, NUL, \\x1c, `nan`,
+    `1e309` or invalid UTF-8 inserted, a span deleted, a byte flipped, or
+    the file truncated."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        kind = data.draw(st.sampled_from(["insert", "delete", "flip", "truncate"]))
+        if kind == "insert":
+            text = text[:at] + data.draw(st.sampled_from(_CSV_INSERTS)) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + data.draw(st.integers(1, 40)) :]
+        elif kind == "flip" and at < len(text):
+            flipped = text[at] ^ 1 << data.draw(st.integers(0, 7))
+            text = text[:at] + bytes([flipped]) + text[at + 1 :]
+        elif kind == "truncate":
+            text = text[:at]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_csv_files_keep_the_exit_contract(trained_model, data):
+    # A damaged CSV is read or refused: exit 0 or 2 and never an exception;
+    # a refusal is one error line and no output, and nothing prints NaN.
+    good_csv, model = trained_model
+    bad = Path(good_csv).with_name("fuzzed.csv")
+    bad.write_bytes(_mutate_csv(data, Path(good_csv).read_bytes()))
+    for command in ("predict", "evaluate"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([command, "--model", model, "--data", str(bad)])
+        assert code in (0, 2)
+        assert err.getvalue().count("error:") <= 1
+        if code:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1 and out.getvalue() == ""
+        assert not re.search(r"(?i)\bnan\b", out.getvalue())
 
 
 def _both_tasks(header, task):

@@ -1,8 +1,8 @@
 """The fold kernels give the loop oracles' bytes, at every SIMD level.
 
-`conv1d_forward`, `dense_forward` and `dense_backward` run their left folds
-inside np.einsum calls. The properties compare them byte for byte with
-`conv1d_brute`, `dense_brute` and `dense_backward_brute` over random shapes,
+The conv and dense kernels run their left folds inside np.einsum calls. The
+properties compare them byte for byte with `conv1d_brute`, `dense_brute`,
+`dense_backward_brute` and `conv1d_backward_brute` over random shapes,
 single-element outputs included. The restricted-dispatch tests re-run the
 oracle, batch and Adam tests with numpy's wider SIMD targets switched off;
 numpy reads that setting at import, so they run in a child process.
@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from flowsentinel import layers as L
 
-from oracles import conv1d_brute, dense_backward_brute, dense_brute
+from oracles import (conv1d_backward_brute, conv1d_brute, dense_backward_brute,
+                     dense_brute)
 
 # Scalar multiply-adds that one conv example may cost the loop oracle, on top
 # of the single output position every shape gets.
@@ -100,14 +101,15 @@ def test_dense_forward_bytes_equal_brute(n, in_dim, out_dim, seed, relu, zero_ro
        st.booleans(), st.booleans(), st.booleans())
 @example(1, 300, 70, 0, True, False, False)  # one sample
 @example(7, 1, 1, 1, True, True, False)  # single-element weight gradient
+@example(5, 1, 1, 3, False, False, True)  # ... whose terms are all -0.0
 @example(3, 4, 2, 2, True, False, True)
 def test_dense_backward_bytes_equal_brute(n, in_dim, out_dim, seed, relu,
                                           zero_rows, dead_unit):
     # relu draws the zeros of ReLU inputs and of relu_backward's gradients.
     # A dead unit (input 0 is 0 in every sample, unit 0's gradient always
     # negative) makes each term of d_weights[0, 0] -0.0; the fold from 0
-    # gives +0.0 there. `+ 0.0` maps -0.0 to +0.0 and keeps every other
-    # value, so the bias's fold from its first sample compares too.
+    # gives +0.0 there, single-element output included. `+ 0.0` maps -0.0 to
+    # +0.0 and keeps every other value.
     rng = np.random.default_rng(seed)
     x = _values(rng, (n, in_dim), relu, zero_rows)
     grad_out = _values(rng, (n, out_dim), False, False)
@@ -122,8 +124,53 @@ def test_dense_backward_bytes_equal_brute(n, in_dim, out_dim, seed, relu,
     want = dense_backward_brute(x, w, grad_out)
     for name, g, o in zip(("d_weights", "d_bias", "d_input"), got, want):
         assert (g + 0.0).tobytes() == (o + 0.0).tobytes(), name
-    if dead_unit and out_dim * in_dim > 1:  # else fold_sum keeps the sign
+    if dead_unit:
         assert got[0][0, 0].tobytes() == np.float64(0.0).tobytes()
+
+
+# Elementwise multiply-adds that one conv-backward example may cost the
+# oracle: N * t_out * filters * channels * k, once for each of the weight and
+# input gradients.
+_CONV_BACKWARD_BUDGET = 1_000_000
+
+
+@st.composite
+def _conv_backward_shapes(draw):
+    """(N, length, channels, kernel_size, filters): N 1-40, channels 1-40,
+    filters 1-70 and lengths 3-60, N capped by the budget."""
+    k = draw(st.integers(1, 5))
+    length = draw(st.integers(max(3, k), 60))
+    channels = draw(st.integers(1, 40))
+    filters = draw(st.integers(1, 70))
+    per_sample = (length - k + 1) * filters * channels * k
+    n = draw(st.integers(1, max(1, min(40, _CONV_BACKWARD_BUDGET // per_sample))))
+    return n, length, channels, k, filters
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conv_backward_shapes(), _seeds, st.booleans(), st.booleans())
+@example((3, 12, 4, 3, 1), 0, False, False)  # one filter, t_out >= 8
+@example((2, 20, 1, 3, 1), 1, True, False)  # one channel, one filter
+@example((1, 30, 8, 3, 16), 2, True, True)  # one sample
+@example((4, 20, 1, 1, 9), 6, False, False)  # one channel, k=1: w[:, :, 0] contiguous
+@example((32, 16, 1, 3, 32), 3, False, False)  # conv1 at F=16
+@example((32, 7, 32, 3, 64), 4, True, False)  # conv2 at F=16
+@example((32, 21, 32, 3, 64), 5, True, True)  # conv2 at F=45
+def test_conv_backward_bytes_equal_brute(shape, seed, relu, zero_rows):
+    # relu draws the zeros of ReLU inputs and of relu_backward's gradients.
+    n, length, channels, k, filters = shape
+    rng = np.random.default_rng(seed)
+    x = _values(rng, (n, length, channels), relu, zero_rows)
+    grad_out = _values(rng, (n, length - k + 1, filters), False, False)
+    if relu:
+        grad_out[rng.random(grad_out.shape) < 0.3] = 0.0
+    w = rng.standard_normal((filters, channels, k))
+    got = L.conv1d_backward(L.Conv1DLayer(weights=w, bias=_bias(rng, filters)),
+                            x, grad_out)
+    want = conv1d_backward_brute(x, w, grad_out)
+    for name, g, o in zip(("d_weights", "d_bias", "d_input"), got, want):
+        assert g.shape == o.shape, name
+        assert (g + 0.0).tobytes() == (o + 0.0).tobytes(), name
 
 
 _RESTRICTED = "AVX512_SPR AVX512_ICL X86_V4"
@@ -143,7 +190,7 @@ def test_oracle_and_batch_bytes_under_restricted_dispatch(features):
     assert off.returncode == 0, f"numpy kept a feature of {features!r} on"
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_layers.py", "tests/test_batch.py", "tests/test_tensor.py",
+         "tests/test_layers.py", "tests/test_batch.py",
          "tests/test_fold_kernels.py", "tests/test_optim.py",
          "-k", "not restricted_dispatch"],
         cwd=_TESTS.parent, env=env, capture_output=True, text=True,

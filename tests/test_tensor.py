@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from flowsentinel.errors import DataError
-from flowsentinel.layers import fold_sum
 from flowsentinel.tensor import Tensor
 
 
@@ -34,18 +33,3 @@ def test_tensor_array_is_read_only():
     with pytest.raises(ValueError):
         wrapped.array[0] = 9.0
 
-
-def test_fold_sum_is_left_fold_bitwise():
-    # Pins the summation-order behaviour every ordered kernel relies on,
-    # including the inner-size-1 path where numpy reduce would go pairwise.
-    rng = np.random.default_rng(42)
-    for n in (1, 2, 3, 8, 9, 97, 129, 400):
-        for inner in ((1,), (2,), (3,), (7,), (5, 4)):
-            a = np.ascontiguousarray(
-                rng.standard_normal((n,) + inner) * 10.0 ** rng.integers(-4, 5)
-            )
-            got = fold_sum(a)
-            want = a[0].copy()
-            for i in range(1, n):
-                want = want + a[i]
-            assert np.array_equal(got, want), (n, inner)
