@@ -58,15 +58,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _path(text: str) -> str:
+    if "\0" in text:  # open() would raise ValueError past the error contract
+        raise argparse.ArgumentTypeError(f"a path cannot hold a NUL byte: {text!r}")
+    return text
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="flowsentinel", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p_train = sub.add_parser("train", help="train a model from a CSV")
-    p_train.add_argument("--data", required=True, help="training CSV path")
+    p_train.add_argument("--data", required=True, type=_path, help="training CSV path")
     p_train.add_argument("--task", choices=TASKS, default="multiclass")
     p_train.add_argument("--label-column", default=DEFAULT_LABEL_COLUMN)
-    p_train.add_argument("--taxonomy", help="taxonomy rules file")
+    p_train.add_argument("--taxonomy", type=_path, help="taxonomy rules file")
     p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p_train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p_train.add_argument("--lr", type=float, default=TrainConfig.lr)
@@ -76,21 +82,22 @@ def _build_parser() -> _Parser:
     p_train.add_argument("--early-stop-patience", type=int,
                          default=TrainConfig.early_stop_patience)
     p_train.add_argument("--limit-per-class", type=int, default=None)
-    p_train.add_argument("--out", required=True, help="model file to write")
+    p_train.add_argument("--out", required=True, type=_path, help="model file to write")
 
     p_eval = sub.add_parser("evaluate", help="evaluate a model on a CSV")
-    p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--data", required=True)
+    p_eval.add_argument("--model", required=True, type=_path)
+    p_eval.add_argument("--data", required=True, type=_path)
     p_eval.add_argument("--format", choices=("text", "structured"), default="text")
-    p_eval.add_argument("--out", help="write the report here instead of stdout")
+    p_eval.add_argument("--out", type=_path,
+                        help="write the report here instead of stdout")
 
     p_pred = sub.add_parser("predict", help="label a CSV with a trained model")
-    p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--data", required=True)
-    p_pred.add_argument("--out", help="output CSV (default: stdout)")
+    p_pred.add_argument("--model", required=True, type=_path)
+    p_pred.add_argument("--data", required=True, type=_path)
+    p_pred.add_argument("--out", type=_path, help="output CSV (default: stdout)")
 
     p_inspect = sub.add_parser("inspect", help="describe a model file")
-    p_inspect.add_argument("--model", required=True)
+    p_inspect.add_argument("--model", required=True, type=_path)
 
     return parser
 
@@ -187,10 +194,9 @@ def _cmd_train(args) -> None:
             f"{label_map[0]!r}; training needs at least 2 classes"
         )
     split = stratified_split(class_idx, cfg.val_fraction, cfg.seed)
-    train_rows = Tensor._wrap(
-        np.ascontiguousarray(ds.features.array[split.train_indices])
-    )
-    preproc = fit_standardizer(train_rows, label_map=label_map, task=args.task)
+    # the training rows' copy is freed once the standardizer is fitted
+    preproc = fit_standardizer(Tensor._wrap(ds.features.array[split.train_indices]),
+                               label_map=label_map, task=args.task)
     x3 = apply_standardizer(preproc, ds.features)
     arch = ArchitectureConfig(
         feature_count=ds.features.shape[1], class_count=len(label_map)

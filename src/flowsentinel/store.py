@@ -11,9 +11,13 @@ Container layout (byte-exact layout in docs/model-file-format.md):
                   which is every tensor's values in tensor-directory order
 
 Writes are atomic (temp file + rename). save -> load -> save is
-byte-identical; all invariants are revalidated on load, and the tensor
-directory must be exactly the architecture's parameter table, with every
-value finite. save_model checks the values before it writes.
+byte-identical. The header has one definition, _header_dict, and the reader
+accepts only what it renders: load_model decodes the primary fields into
+the objects the writer takes, renders the header from them, and refuses a
+file whose header differs from that rendering in any key, list length, JSON
+type or value. It then checks the payload's size against the architecture
+and every value for finiteness; save_model checks the values before it
+writes.
 """
 
 from __future__ import annotations
@@ -32,20 +36,18 @@ from .errors import DataError, ModelStoreError
 from .pipeline import PreprocState
 from .trainer import (
     STACK, ArchitectureConfig, ModelParams, TrainConfig, non_finite_param,
-    param_shapes, param_slices,
+    param_count, param_shapes, param_slices,
 )
 
 MAGIC = b"FLOWSNT1"
 FORMAT_VERSION = 1
 MAX_HEADER_BYTES = 16 * 1024 * 1024
-HEADER_KEYS = ("format_version", "architecture", "class_names", "feature_names",
-               "preprocessing", "taxonomy", "metadata", "tensors")
 
 
 @dataclass
 class ModelMetadata:
     """The model's task is PreprocState.task and its seed train_config.seed;
-    the file's metadata block repeats both, and the reader checks them."""
+    the file's metadata block repeats both, as _header_dict renders them."""
 
     label_column: str
     train_config: TrainConfig
@@ -78,7 +80,7 @@ def _directory(arch: ArchitectureConfig) -> list[dict]:
 
 
 def _header_dict(
-    model: ModelParams,
+    arch: ArchitectureConfig,
     preproc: PreprocState,
     taxonomy: Taxonomy,
     metadata: ModelMetadata,
@@ -95,7 +97,7 @@ def _header_dict(
     }
     return {
         "format_version": FORMAT_VERSION,
-        "architecture": {**asdict(model.arch), **STACK},
+        "architecture": {**asdict(arch), **STACK},
         "class_names": list(preproc.label_map),
         "feature_names": list(feature_names),
         "preprocessing": {
@@ -109,7 +111,7 @@ def _header_dict(
             "binary_positive": BINARY_POSITIVE,
         },
         "metadata": {"task": preproc.task, "seed": metadata.train_config.seed, **meta},
-        "tensors": _directory(model.arch),
+        "tensors": _directory(arch),
     }
 
 
@@ -127,7 +129,7 @@ def save_model(
     ModelStoreError and writes nothing.
     """
     _check_finite(path, model)
-    header = _header_dict(model, preproc, taxonomy, metadata, feature_names)
+    header = _header_dict(model.arch, preproc, taxonomy, metadata, feature_names)
     header_bytes = json.dumps(
         header, separators=(",", ":"), ensure_ascii=False, allow_nan=False
     ).encode("utf-8")
@@ -200,7 +202,7 @@ def load_model(
         )
     try:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also huge ints, deep nesting
         raise ModelStoreError(f"{path}: unreadable header: {exc}") from exc
     version = header.get("format_version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
@@ -208,120 +210,82 @@ def load_model(
             f"{path}: unknown format version {version!r}, "
             f"this build reads version {FORMAT_VERSION}"
         )
-    payload = memoryview(blob)[12 + header_len :]  # a view, not a copy
     try:
-        _object(path, "the header", header, HEADER_KEYS)
-        block = _object(path, "architecture", header["architecture"],
-                        [f.name for f in fields(ArchitectureConfig)] + list(STACK))
-        for name, size in STACK.items():  # 32.0 and true are not 32
-            if type(block[name]) is not int or block[name] != size:
-                raise ModelStoreError(f"{path}: architecture.{name} must be "
-                                      f"{size}, got {json.dumps(block[name])}")
+        block = header["architecture"]
         try:
             arch = ArchitectureConfig(block["feature_count"], block["class_count"])
         except DataError as exc:
             raise ModelStoreError(f"{path}: architecture.{exc}") from exc
-        entries = _check_directory(path, arch, header["tensors"])
-        expected_total = sum(entry["byte_length"] for entry in entries)
-        if (gap := expected_total - len(payload)) != 0:
-            raise ModelStoreError(
-                f"{path}: payload {'truncated' if gap > 0 else 'too long'}, "
-                f"expected {expected_total} bytes, found {len(payload)} "
-                + (f"(short by {gap})" if gap > 0 else f"({-gap} extra)"))
-        # astype copies: the model's values are writable and own their bytes
-        model = ModelParams(arch, np.frombuffer(payload, "<f8").astype(np.float64))
-        _check_finite(path, model)
         for key in ("class_names", "feature_names"):
             if not isinstance(header[key], list) or not all(
                     isinstance(name, str) for name in header[key]):
                 raise ModelStoreError(f"{path}: {key} must be a list of strings")
-        pre = _object(path, "preprocessing", header["preprocessing"],
-                      ("means", "stds", "degenerate", "task"))
-        preproc = PreprocState(
-            means=np.array(pre["means"], dtype=np.float64),
-            stds=np.array(pre["stds"], dtype=np.float64),
-            degenerate=np.array(pre["degenerate"], dtype=bool),
-            label_map=list(header["class_names"]),
-            task=pre["task"],
-        )
-        tax = _object(path, "taxonomy", header["taxonomy"],
-                      ("rules", "binary_positive"))
-        if tax["binary_positive"] != BINARY_POSITIVE:
-            raise ModelStoreError(
-                f"{path}: taxonomy.binary_positive must be "
-                f"{json.dumps(BINARY_POSITIVE)}, got {json.dumps(tax['binary_positive'])}"
-            )
-        taxonomy = Taxonomy(rules=[TaxonomyRule(k, p, c) for k, p, c in tax["rules"]])
-        meta = dict(header["metadata"])
-        task, seed = meta.pop("task"), meta.pop("seed")
-        config = dict(_object(
-            path, "metadata.train_config", meta.pop("train_config"),
-            [f.name for f in fields(TrainConfig)] + ["shuffle_each_epoch"]))
-        if config.pop("shuffle_each_epoch") is not True:
-            raise ModelStoreError(
-                f"{path}: metadata.train_config.shuffle_each_epoch must be true"
-            )
-        metadata = ModelMetadata(train_config=TrainConfig(**config), **meta)
-        for key, copy, owner, value in (
-            ("task", task, "preprocessing.task", preproc.task),
-            ("seed", seed, "train_config.seed", metadata.train_config.seed),
-        ):
-            if copy != value:
-                raise ModelStoreError(f"{path}: metadata.{key} {copy!r} "
-                                      f"disagrees with {owner} {value!r}")
+        pre = header["preprocessing"]
+        preproc = PreprocState(pre["means"], pre["stds"], pre["degenerate"],
+                               list(header["class_names"]), pre["task"])
+        taxonomy = Taxonomy(rules=[TaxonomyRule(k, p, c)
+                                   for k, p, c in header["taxonomy"]["rules"]])
+        meta = header["metadata"]
+        config = TrainConfig(**_fields(TrainConfig, meta["train_config"]))
+        metadata = ModelMetadata(**{**_fields(ModelMetadata, meta),
+                                    "train_config": config})
         feature_names = list(header["feature_names"])
         if len(feature_names) != arch.feature_count:
-            raise ModelStoreError(
-                f"{path}: {len(feature_names)} feature names for "
-                f"feature_count {arch.feature_count}"
-            )
+            raise ModelStoreError(f"{path}: {len(feature_names)} feature names "
+                                  f"for feature_count {arch.feature_count}")
         if len(set(feature_names)) != len(feature_names):
             raise ModelStoreError(f"{path}: duplicate feature names")
         if len(preproc.means) != arch.feature_count:
-            raise ModelStoreError(
-                f"{path}: standardizer covers {len(preproc.means)} "
-                f"features, architecture expects {arch.feature_count}"
-            )
+            raise ModelStoreError(f"{path}: standardizer covers {len(preproc.means)}"
+                                  f" features, architecture expects {arch.feature_count}")
         if len(preproc.label_map) != arch.class_count:
-            raise ModelStoreError(
-                f"{path}: {len(preproc.label_map)} class names for "
-                f"class_count {arch.class_count}"
-            )
+            raise ModelStoreError(f"{path}: {len(preproc.label_map)} class names "
+                                  f"for class_count {arch.class_count}")
+        _match(path, "", header,
+               _header_dict(arch, preproc, taxonomy, metadata, feature_names))
     except ModelStoreError:
         raise
+    except KeyError as exc:
+        raise ModelStoreError(f"{path}: malformed header: missing key {exc}") from exc
     except Exception as exc:
         raise ModelStoreError(f"{path}: malformed header: {exc}") from exc
+    payload = memoryview(blob)[12 + header_len :]  # a view, not a copy
+    if (gap := (size := 8 * param_count(arch)) - len(payload)) != 0:
+        raise ModelStoreError(
+            f"{path}: payload {'truncated' if gap > 0 else 'too long'}, "
+            f"expected {size} bytes, found {len(payload)} "
+            + (f"(short by {gap})" if gap > 0 else f"({-gap} extra)"))
+    # astype copies: the model's values are writable and own their bytes
+    model = ModelParams(arch, np.frombuffer(payload, "<f8").astype(np.float64))
+    _check_finite(path, model)
     return model, preproc, taxonomy, metadata, feature_names
 
 
-def _object(path: str, name: str, block, keys) -> dict:
-    """Header object `name`, which must hold exactly `keys`: a missing key
-    would take a default and an unknown one would be ignored."""
-    if not (isinstance(block, dict) and block.keys() == set(keys)):
-        raise ModelStoreError(f"{path}: {name} must be an object with exactly "
-                              f"the keys {', '.join(keys)}")
-    return block
+def _fields(cls, block: dict) -> dict:
+    """The values of dataclass `cls`'s fields in header object `block`."""
+    return {f.name: block[f.name] for f in fields(cls)}
 
 
-def _check_directory(
-    path: str, arch: ArchitectureConfig, entries: list[dict]
-) -> list[dict]:
-    """A tensor directory must be _directory(arch), entry by entry: the same
-    names in the same order, with the same shapes, offsets and byte lengths,
-    and no other keys. Returns that expected directory."""
-    expected = _directory(arch)
-    if len(entries) != len(expected):
-        raise ModelStoreError(
-            f"{path}: tensor directory has {len(entries)} entries, the "
-            f"architecture needs {len(expected)}"
-        )
-    for i, (have, need) in enumerate(zip(entries, expected), 1):
-        if have != need:
-            raise ModelStoreError(
-                f"{path}: tensor directory entry {i} declares {json.dumps(have)}, "
-                f"the architecture needs {json.dumps(need)}"
-            )
-    return expected
+def _match(path: str, key: str, have, need) -> None:
+    """Raise unless the file's JSON value `have` is the rendered `need`: the
+    same object keys (in any order), the same list lengths, and at every
+    leaf the same JSON type and value. `key` names `have`, dotted."""
+    name = key or "the header"
+    if isinstance(need, dict):
+        if not (isinstance(have, dict) and have.keys() == need.keys()):
+            raise ModelStoreError(f"{path}: {name} must be an object with "
+                                  f"exactly the keys {', '.join(need)}")
+        for k in need:
+            _match(path, f"{key}.{k}" if key else k, have[k], need[k])
+    elif isinstance(need, list) and isinstance(have, list):
+        if len(have) != len(need):
+            raise ModelStoreError(f"{path}: {name} holds {len(have)} entries, "
+                                  f"this build writes {len(need)}")
+        for i, (entry, rendered) in enumerate(zip(have, need), 1):
+            _match(path, f"{key} entry {i}", entry, rendered)
+    elif type(have) is not type(need) or have != need:  # 1.0 and true are not 1
+        raise ModelStoreError(f"{path}: {name} is {json.dumps(have)}, "
+                              f"this build writes {json.dumps(need)}")
 
 
 def _check_finite(path: str, model: ModelParams) -> None:

@@ -173,6 +173,11 @@ def param_slices(arch: ArchitectureConfig) -> dict[str, slice]:
     return slices
 
 
+def param_count(arch: ArchitectureConfig) -> int:
+    """The length of the flat parameter vector."""
+    return [*param_slices(arch).values()][-1].stop
+
+
 def param_views(arch: ArchitectureConfig, values: np.ndarray) -> dict[str, np.ndarray]:
     """Name -> view of each parameter in a vector laid out as `ModelParams.values`."""
     shapes = param_shapes(arch)
@@ -196,7 +201,7 @@ class ModelParams:
     params: Mapping[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        size, values = [*param_slices(self.arch).values()][-1].stop, self.values
+        size, values = param_count(self.arch), self.values
         if not (isinstance(values, np.ndarray) and values.dtype == np.float64
                 and values.shape == (size,) and values.flags.c_contiguous):
             got = getattr(values, "dtype", type(values).__name__)
@@ -208,7 +213,7 @@ class ModelParams:
 
 def build_model(arch: ArchitectureConfig, rng: np.random.Generator) -> ModelParams:
     """Glorot-uniform weights and zero biases, drawn in table order."""
-    model = ModelParams(arch, np.zeros([*param_slices(arch).values()][-1].stop))
+    model = ModelParams(arch, np.zeros(param_count(arch)))
     for w in model.params.values():
         if w.ndim > 1:
             receptive = math.prod(w.shape[2:])

@@ -2,18 +2,23 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import shutil
+import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowsentinel import cli
 from flowsentinel.cli import run
 from flowsentinel.dataset import load_csv
+from flowsentinel.errors import DataError
 
 from conftest import write_flow_csv
 
@@ -64,6 +69,47 @@ def test_train_usage_errors(tmp_path, capsys):
     assert run(["train", "--data", "x.csv", "--out", "m.fsnt", "--bogus"]) == 1
     assert run(["frobnicate"]) == 1
     assert run([]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "a\0.csv", "--out", "m.fsnt"],
+    ["train", "--data", "a.csv", "--taxonomy", "r\0", "--out", "m.fsnt"],
+    ["train", "--data", "a.csv", "--out", "m\0.fsnt"],
+    ["evaluate", "--model", "m\0", "--data", "a.csv"],
+    ["evaluate", "--model", "m", "--data", "a.csv", "--out", "\0"],
+    ["predict", "--model", "m", "--data", "a\0.csv"],
+    ["inspect", "--model", "\0m.fsnt"],
+], ids=["train-data", "train-taxonomy", "train-out", "evaluate-model",
+         "evaluate-out", "predict-data", "inspect-model"])
+def test_nul_in_a_path_is_a_usage_error(capsys, argv):
+    # open() raises ValueError on a NUL byte; argparse refuses it first
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: ") and len(err) == 2
+    flag = argv[[i for i, a in enumerate(argv) if "\0" in a][0] - 1]
+    assert err[1].startswith(f"error: argument {flag}: a path cannot hold a NUL byte")
+
+
+def test_train_holds_no_copy_of_the_training_rows(tmp_path, monkeypatch):
+    # At the train entry the process holds the float block, its standardized
+    # copy, the labels and the model, about 2.7 blocks on this file. A kept
+    # copy of the training rows would add 0.8 of a block.
+    data = write_flow_csv(tmp_path / "wide.csv", n_per_class=2000,
+                          feature_count=44, seed=3)
+    block = 3 * 2000 * 44 * 8
+    held = []
+
+    def entry(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        raise DataError("stopped at the train entry")
+
+    monkeypatch.setattr(cli, "train", entry)
+    tracemalloc.start()
+    try:
+        assert run(["train", "--data", data, "--out", str(tmp_path / "m.fsnt")]) == 2
+    finally:
+        tracemalloc.stop()
+    assert held[0] < 3.0 * block
 
 
 def test_train_data_errors(tmp_path, capsys):
@@ -223,11 +269,16 @@ def test_corrupt_model_is_exit_3(trained_model, tmp_path, capsys, recwarn,
     assert run(argv) == 3
     captured = capsys.readouterr()
     _assert_one_error_line(captured, recwarn)
-    if "payload" in corruption:
-        reason = "non-finite value"
-    else:
-        reason = "tensor directory"
-    assert reason in captured.err
+    reason = {  # the first entry and field that differ from the layout
+        "nan-payload": "tensor conv1.weights holds a non-finite value",
+        "inf-payload": "tensor dense1.bias holds a non-finite value",
+        "output-rows": "tensors entry 7.shape entry 1 is 4, this build writes 3",
+        "dense1-width": "tensors entry 5.shape entry 2 is 63, this build writes 64",
+        "extra-entry": "tensors holds 9 entries, this build writes 8",
+        "reordered": 'tensors entry 1.name is "conv1.bias", '
+                     'this build writes "conv1.weights"',
+    }[corruption]
+    assert captured.err == f"error: {bad}: {reason}\n"
 
 
 def test_extended_model_is_exit_3(trained_model, tmp_path, capsys, recwarn):
@@ -329,6 +380,66 @@ def test_damaged_csv_files_keep_the_exit_contract(trained_model, data):
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1 and out.getvalue() == ""
         assert not re.search(r"(?i)\bnan\b", out.getvalue())
+
+
+_COMMANDS = ("train", "evaluate", "predict", "inspect", "frobnicate", None)
+_FLAGS = ("--data", "--task", "--label-column", "--taxonomy", "--epochs",
+          "--batch-size", "--lr", "--val-split", "--seed", "--early-stop-patience",
+          "--limit-per-class", "--out", "--model", "--format", "--bogus", "-x")
+# odd numbers, blanks, non-ASCII text and NUL, two good choices, and files: a
+# good CSV, model and taxonomy, a missing path, a directory and a device
+_VALUES = ("0", "-1", "3.5", "nan", "inf", "1e309", "1e-300", "1" * 20, "0x10",
+           "1_0", "", " ", "\u00e9t\u00e9", "a\0b", "category", "structured",
+           "flows.csv", "good.fsnt", "rules.txt", "missing.csv", ".", "/dev/null")
+_EPOCHS = ("0", "1", "2", "-1", "x", "1.5", "")
+# each command's required flags, and --epochs, which defaults to 10, with
+# the value that passes
+_BASE = {"train": {"--data": "flows.csv", "--out": "new.fsnt", "--epochs": "1"},
+         "evaluate": {"--model": "good.fsnt", "--data": "flows.csv"},
+         "predict": {"--model": "good.fsnt", "--data": "flows.csv"},
+         "inspect": {"--model": "good.fsnt"}}
+_OWN = {"train": _FLAGS[:12], "evaluate": ("--model", "--data", "--format", "--out"),
+        "predict": ("--model", "--data", "--out"), "inspect": ("--model",)}
+
+
+def _value(flag):
+    return st.sampled_from(_EPOCHS if flag == "--epochs" else _VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_random_flag_vectors_keep_the_exit_contract(trained_model, data):
+    # Any argv ends in exit 0-3 and never an exception: a failure prints
+    # exactly one error line, a success none. A command's required flags
+    # come first, each with its good value half the time, then up to six
+    # flags, three in four of them the command's own.
+    good_csv, model = trained_model
+    command = data.draw(st.sampled_from(_COMMANDS))
+    pairs = [(flag, data.draw(st.just(good) | _value(flag)))
+             for flag, good in _BASE.get(command, {}).items()]
+    flags = st.sampled_from(_OWN.get(command, _FLAGS))
+    pairs += data.draw(st.lists(st.one_of(flags, flags, flags, st.sampled_from(_FLAGS))
+                                .flatmap(lambda f: st.tuples(st.just(f), _value(f))),
+                                max_size=6))
+    # save_model renames its file over the target, which would replace the
+    # device node
+    assume(not (command == "train" and ("--out", "/dev/null") in pairs))
+    argv = [command] * (command is not None) + [v for pair in pairs for v in pair]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copy(good_csv, os.path.join(work, "flows.csv"))
+        shutil.copy(model, os.path.join(work, "good.fsnt"))
+        Path(work, "rules.txt").write_text("exact,Benign,Benign\nprefix,D,Attack\n")
+        out, err = io.StringIO(), io.StringIO()
+        os.chdir(work)  # relative --out names land in the temp directory
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
+    errors = [l for l in err.getvalue().splitlines() if l.startswith("error:")]
+    assert len(errors) == (1 if code else 0)
 
 
 def _both_tasks(header, task):

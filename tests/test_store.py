@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -163,7 +164,10 @@ def test_mismatched_tensor_declaration_rejected(saved, tmp_path):
     path, *_ = saved
     blob = path.read_bytes()
     header_len = int.from_bytes(blob[8:12], "little")
-    for damage in ("byte_length", "negative_shape"):
+    for damage, reason in (
+        ("byte_length", "tensors entry 1.byte_length is 776, this build writes 768"),
+        ("negative_shape", "tensors entry 1.shape holds 1 entries, this build writes 3"),
+    ):
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
         entry = header["tensors"][0]
         if damage == "byte_length":
@@ -177,8 +181,9 @@ def test_mismatched_tensor_declaration_rejected(saved, tmp_path):
             MAGIC + len(new_header).to_bytes(4, "little") + new_header
             + blob[12 + header_len :]
         )
-        with pytest.raises(ModelStoreError, match="declares"):
+        with pytest.raises(ModelStoreError) as err:
             load_model(str(bad))
+        assert str(err.value) == f"{bad}: {reason}"
 
 
 def _header_of(path):
@@ -225,8 +230,10 @@ def test_moved_directory_offset_rejected(saved, tmp_path):
     header["tensors"][2]["offset"] += 8
     bad = tmp_path / "moved.fsnt"
     _write_with_header(bad, header, payload)
-    with pytest.raises(ModelStoreError, match="tensor directory entry 3 declares"):
+    with pytest.raises(ModelStoreError) as err:
         load_model(str(bad))
+    assert str(err.value) == (
+        f"{bad}: tensors entry 3.offset is 1032, this build writes 1024")
 
 
 def test_directory_entry_with_extra_key_rejected(saved, tmp_path):
@@ -235,8 +242,11 @@ def test_directory_entry_with_extra_key_rejected(saved, tmp_path):
     header["tensors"][5]["dtype"] = "<f8"
     bad = tmp_path / "extra-key.fsnt"
     _write_with_header(bad, header, payload)
-    with pytest.raises(ModelStoreError, match="tensor directory entry 6 declares"):
+    with pytest.raises(ModelStoreError) as err:
         load_model(str(bad))
+    assert str(err.value) == (
+        f"{bad}: tensors entry 6 must be an object with exactly the keys "
+        "name, shape, offset, byte_length")
 
 
 def test_oversized_header_rejected(tmp_path):
@@ -252,6 +262,82 @@ def test_garbage_header_rejected(tmp_path):
     bad.write_bytes(MAGIC + len(payload).to_bytes(4, "little") + payload)
     with pytest.raises(ModelStoreError, match="header"):
         load_model(str(bad))
+
+
+@pytest.mark.parametrize(
+    "header", [b"[" * 100_000, b'{"format_version":' + b"1" * 5000 + b"}"],
+    ids=["deep-nesting", "5000-digit-int"])
+def test_json_the_parser_refuses_is_an_unreadable_header(tmp_path, header):
+    bad = tmp_path / "unreadable.fsnt"
+    bad.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header)
+    with pytest.raises(ModelStoreError, match=": unreadable header: "):
+        load_model(str(bad))
+
+
+def _leaves(value, where=()):
+    """(path, value) for each leaf of a JSON value; a path holds the keys
+    and list indices that lead to the leaf."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, where + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, where + (i,))
+    else:
+        yield where, value
+
+
+# leaves whose JSON type the format leaves open: the reader takes the value
+# as it finds it
+OPEN_TYPES = (("format_version",), ("metadata", "final_metrics"),
+              ("metadata", "train_config", "lr"),
+              ("metadata", "train_config", "val_fraction"))
+
+
+def test_equal_value_of_another_json_type_is_refused(saved, tmp_path):
+    # true is not 1, 1 is not 1.0: every bool, int or integral float the
+    # writer writes is refused as the equal value of another JSON type
+    path, *_ = saved
+    header, payload = _header_of(path)
+    bad, twins, loaded = tmp_path / "twin.fsnt", 0, []
+    for where, value in _leaves(header):
+        if any(where[: len(open_)] == open_ for open_ in OPEN_TYPES):
+            continue
+        if isinstance(value, bool):
+            twin = int(value)
+        elif isinstance(value, int):
+            twin = float(value)
+        elif isinstance(value, float) and value.is_integer():
+            twin = int(value)
+        else:
+            continue
+        edited = copy.deepcopy(header)
+        parent = edited
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = twin
+        _write_with_header(bad, edited, payload)
+        twins += 1
+        try:
+            load_model(str(bad))
+        except ModelStoreError:
+            continue
+        loaded.append(where)
+    assert loaded == []
+    # 7 layer sizes, 30 directory numbers, 12 degenerate flags, seed,
+    # epochs_run, best_epoch, and 5 train_config values
+    assert twins == 57
+
+
+def test_missing_key_is_named(saved, tmp_path):
+    path, *_ = saved
+    header, payload = _header_of(path)
+    del header["metadata"]["train_config"]["epochs"]
+    bad = tmp_path / "cut.fsnt"
+    _write_with_header(bad, header, payload)
+    with pytest.raises(ModelStoreError) as err:
+        load_model(str(bad))
+    assert str(err.value) == f"{bad}: malformed header: missing key 'epochs'"
 
 
 @pytest.mark.parametrize("header", [b"[]", b"3", b'"x"'])
