@@ -156,6 +156,12 @@ def _listing(items: list[str], sep: str) -> str:
     return sep.join(items[:_MAX_REPORTED_CELLS]) + more
 
 
+def printable_label(label: str) -> str:
+    """`label` as an error message shows it: as is when printable, else as
+    its repr, so a label that holds a newline keeps the message on one line."""
+    return label if label.isprintable() else repr(label)
+
+
 def _parse_block(block: list[list[str]], columns: list[int]) -> np.ndarray | None:
     """The block's cells in `columns` as a (rows, columns) float64 array,
     every cell through `float` in one C-level pass; None when a cell does not
@@ -412,7 +418,8 @@ def map_labels(
             categories[label] = cat
     if unmatched:
         raise DataError(
-            "labels not covered by the taxonomy: " + ", ".join(sorted(unmatched))
+            "labels not covered by the taxonomy: "
+            + ", ".join(map(printable_label, sorted(unmatched)))
         )
     if task == "multiclass":
         return list(raw_labels)

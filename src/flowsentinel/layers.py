@@ -21,14 +21,19 @@ results are bit-equal to naive loops and do not depend on N or on a sample's
 place in its batch. A parameter gradient folds over t within each sample,
 then the samples' sums in batch order; no per-sample gradient stack is
 built. The dense forward adds the bias after its fold, and the conv input
-gradient adds its per-tap folds into zeros in tap order.
+gradient adds its per-tap folds into zeros in tap order. Each tap folds
+over the filters with grad_out as one filter-major (F, N*t_out) block, so
+N*t_out is the long inner axis, into a (C, N, L) block that is returned
+transposed to (N, L, C).
 
 The conv kernels share `_im2col`'s (1 + C*k, N, t_out) block: row 0 is ones,
 which meets the bias (so the conv output folds 1 * bias first, and d_bias is
 that row's fold against grad_out), and row 1 + c*k + tap holds x[n, t+tap, c].
 
 Backward kernels return plain `(d_weights, d_bias, d_input)`: the first two
-summed over the batch, the last one row per sample.
+summed over the batch, the last one row per sample. conv1's input gradient
+is skipped: `trainer.backward` passes `conv1d_backward` a positional False,
+which makes d_input None, since nothing reads the network input's gradient.
 
 Each fold runs in one np.einsum call (`_fold_einsum`). That holds while
 einsum's multiply-add is not fused to an FMA, as in numpy's x86-64 wheels;
@@ -97,10 +102,14 @@ def conv1d_forward(layer: Conv1DLayer, x: np.ndarray) -> np.ndarray:
 
 
 def conv1d_backward(
-    layer: Conv1DLayer, x: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    layer: Conv1DLayer, x: np.ndarray, grad_out: np.ndarray,
+    input_grad: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The im2col block's ones row meets grad_out in d_bias, its other rows
-    in d_weights; each tap's input gradient is a fold over the filters."""
+    in d_weights. Each tap's input gradient is a fold over the filters of
+    w[:, :, tap] against grad_out as one filter-major (F, N*t_out) block;
+    with `input_grad` False it is not computed and d_input is None. Pass
+    `input_grad` positionally: perfbench's span keys take no keywords."""
     n, length, in_ch = x.shape
     k = layer.kernel_size
     t_out = length - k + 1
@@ -110,12 +119,15 @@ def conv1d_backward(
         total += _fold_einsum("tj,tf->jf", cols[:, i].T, grad_out[i])
     del cols  # freed before grad_out's filter-major copy below
     d_weights = total[1:].reshape(in_ch, k, layer.filters).transpose(2, 0, 1)
-    by_filter = np.ascontiguousarray(grad_out.transpose(2, 0, 1))
-    d_input = np.zeros((n, length, in_ch))
+    if not input_grad:
+        return d_weights, total[0], None
+    by_filter = grad_out.transpose(2, 0, 1).reshape(layer.filters, n * t_out)
+    d_input = np.zeros((in_ch, n, length))
     for tap in range(k):
-        d_input[:, tap : tap + t_out] += _fold_einsum(
-            "fnt,fc->ntc", by_filter, layer.weights[:, :, tap])
-    return d_weights, total[0], d_input
+        d_input[:, :, tap : tap + t_out] += _fold_einsum(
+            "fc,fm->cm", layer.weights[:, :, tap], by_filter
+        ).reshape(in_ch, n, t_out)
+    return d_weights, total[0], d_input.transpose(1, 2, 0)
 
 
 def maxpool1d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -89,20 +89,33 @@ def softmax_ce_grad(
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """One Adam update; mutates state and returns the new parameters as a new
-    array. `params` itself is never written to."""
+    """One Adam update; updates state.m and state.v in place and returns the
+    new parameters as a new array. `params` and `grads` are never written to.
+
+    The update is built in one scratch buffer and the returned array, with
+    the operations of lr * m_hat / (sqrt(v_hat) + eps) in that order, so the
+    bytes are those of the expression evaluated into temporaries."""
     if params.shape != state.shape or grads.shape != state.shape:
         raise DataError(
             f"params {params.shape} / grads {grads.shape} do not match "
             f"optimizer state {state.shape}"
         )
     state.t += 1
-    state.m = BETA1 * state.m + (1.0 - BETA1) * grads
-    state.v = BETA2 * state.v + (1.0 - BETA2) * (grads * grads)
-    m_hat = state.m / (1.0 - BETA1**state.t)
-    v_hat = state.v / (1.0 - BETA2**state.t)
-    update = state.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
-    return params - update
+    m, v = state.m, state.v
+    scratch = np.multiply(grads, 1.0 - BETA1)
+    m *= BETA1
+    m += scratch  # BETA1 * m + (1 - BETA1) * g
+    np.multiply(grads, grads, out=scratch)
+    scratch *= 1.0 - BETA2
+    v *= BETA2
+    v += scratch  # BETA2 * v + (1 - BETA2) * (g * g)
+    out = np.divide(m, 1.0 - BETA1**state.t)  # m_hat
+    out *= state.lr
+    np.divide(v, 1.0 - BETA2**state.t, out=scratch)  # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += EPSILON
+    out /= scratch
+    return np.subtract(params, out, out=out)
 
 
 def glorot_uniform_init(

@@ -125,9 +125,10 @@ def save_model(
 ) -> None:
     """Write the container atomically (temp file in the same directory).
 
-    A non-finite parameter, which load_model would refuse, raises
-    ModelStoreError and writes nothing.
+    A `path` that check_model_dir refuses, or a non-finite parameter, which
+    load_model would refuse, raises ModelStoreError and writes nothing.
     """
+    check_model_dir(path)
     _check_finite(path, model)
     header = _header_dict(model.arch, preproc, taxonomy, metadata, feature_names)
     header_bytes = json.dumps(
@@ -166,9 +167,21 @@ def dir_fault(path: str) -> str | None:
 
 def check_model_dir(path: str) -> None:
     """Raise save_model's error for `path` now if no file can be made
-    there, so that a long run does not end in it."""
+    there, so that a long run does not end in it. An existing `path` that
+    is not a regular file, such as a FIFO or a device, is refused too: the
+    rename would replace it."""
+    if not path:  # the rename to "" fails
+        raise _cannot_write(path, os.strerror(errno.ENOENT))
     if reason := dir_fault(path):
         raise _cannot_write(path, reason)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise _cannot_write(path, exc.strerror) from exc
+    if not stat.S_ISREG(mode):
+        raise _cannot_write(path, "not a regular file")
 
 
 def _cannot_write(path: str, reason: str) -> ModelStoreError:

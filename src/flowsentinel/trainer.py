@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import layers as L
-from .dataset import Dataset, Taxonomy, map_labels
+from .dataset import Dataset, Taxonomy, map_labels, printable_label
 from .errors import DataError
 from .metrics import EvalReport, classification_report, confusion_matrix
 from .optim import (
@@ -261,33 +261,40 @@ def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     Returns the (N, class_count) logits and the activations `backward` reads.
     """
     conv1, conv2, dense1, output = _layers(model)
-    c1 = L.conv1d_forward(conv1, x)
-    p1, mask1 = _pool(L.relu(c1))
-    c2 = L.conv1d_forward(conv2, p1)
-    p2, mask2 = _pool(L.relu(c2))
+    p1, mask1 = _pool(L.relu(L.conv1d_forward(conv1, x)))
+    p2, mask2 = _pool(L.relu(L.conv1d_forward(conv2, p1)))
     flat = L.flatten(p2)
     h = L.dense_forward(dense1, flat)
     hr = L.relu(h)
     logits = L.dense_forward(output, hr)
-    return logits, (x, c1, mask1, p1, c2, mask2, flat, h, hr)
+    return logits, (x, mask1, p1, mask2, flat, h, hr)
 
 
 def backward(
     model: ModelParams, activations: tuple, grad_logits: np.ndarray
 ) -> np.ndarray:
     """The parameter gradient as one vector laid out as `model.values`, each
-    kernel writing its sums over the batch (in sample order) into its slices."""
+    kernel writing its sums over the batch (in sample order) into its slices.
+
+    Each conv stage's ReLU is gated on its pooled output, before the unpool:
+    a pooled cell is the max of two ReLU outputs, so it is > 0 exactly when
+    the conv output of the row that won is. conv1's input gradient is not
+    computed; nothing reads it."""
     conv1, conv2, dense1, output = _layers(model)
-    x, c1, mask1, p1, c2, mask2, flat, h, hr = activations
+    x, mask1, p1, mask2, flat, h, hr = activations
+    n = len(x)
+    _, len1, _, len2, _ = shape_chain(model.arch)
     g = param_views(model.arch, grads := np.empty_like(model.values))
     g["output.weights"][...], g["output.bias"][...], d_hr = L.dense_backward(
         output, hr, grad_logits)
     g["dense1.weights"][...], g["dense1.bias"][...], d_flat = L.dense_backward(
         dense1, flat, L.relu_backward(h, d_hr))
+    d_c2 = _unpool(mask2, L.relu_backward(flat, d_flat), (n, len2, conv2.filters))
     g["conv2.weights"][...], g["conv2.bias"][...], d_p1 = L.conv1d_backward(
-        conv2, p1, L.relu_backward(c2, _unpool(mask2, d_flat, c2.shape)))
+        conv2, p1, d_c2)
+    d_c1 = _unpool(mask1, L.relu_backward(p1, d_p1), (n, len1, conv1.filters))
     g["conv1.weights"][...], g["conv1.bias"][...], _ = L.conv1d_backward(
-        conv1, x, L.relu_backward(c1, _unpool(mask1, d_p1, c1.shape)))
+        conv1, x, d_c1, False)
     return grads
 
 
@@ -368,7 +375,8 @@ def train(
                 raise _diverged(epoch, b, "the loss")
             epoch_correct += _correct(logits, yb)
             grads = backward(model, activations, lv.grad)
-            updated = adam_step(state, model.values, grads * (1.0 / len(batch)))
+            grads *= 1.0 / len(batch)
+            updated = adam_step(state, model.values, grads)
             if (name := non_finite_param(model.arch, updated)) is not None:
                 raise _diverged(epoch, b, name)
             np.copyto(model.values, updated)
@@ -481,7 +489,8 @@ def evaluate(
     unknown = sorted({m for m in mapped if m not in index})
     if unknown:
         raise DataError(
-            f"labels absent from the trained class map: {', '.join(unknown)}"
+            "labels absent from the trained class map: "
+            + ", ".join(map(printable_label, unknown))
         )
     true_idx = [index[m] for m in mapped]
     pred_idx, _ = predict(model, preproc, dataset.features)

@@ -7,6 +7,8 @@ several batch sizes and for odd lengths that leave a pooling remainder.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsentinel import layers as L
 from flowsentinel.optim import softmax_ce_grad
@@ -119,6 +121,30 @@ def test_pool_matches_flat_index_reference(n):
         g[rng.random(g.shape) < 0.3] = -0.0  # must land as +0.0
         back = _unpool(mask, g, x.shape)
         assert back.tobytes() == unpool_flat_index(flat_index, g, x.shape).tobytes()
+
+
+def _with_specials(rng, shape):
+    """Normals, half of them replaced by ties, signed zeros and infinities."""
+    specials = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 1.5, np.inf])
+    return np.where(rng.random(shape) < 0.5, rng.choice(specials, shape),
+                    rng.standard_normal(shape))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 15), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_relu_gate_on_the_pooled_side_gives_the_same_bytes(n, length, channels,
+                                                           seed):
+    # backward gates each conv stage's ReLU on its pooled output, before the
+    # unpool: a pooled cell is max(relu(a), relu(b)), so it is > 0 exactly
+    # when the winning row's conv output is. Odd lengths leave a trimmed row.
+    rng = np.random.default_rng(seed)
+    c = _with_specials(rng, (n, length, channels))  # the conv output
+    pooled, mask = _pool(L.relu(c))
+    g = _with_specials(rng, pooled.shape)
+    want = L.relu_backward(c, _unpool(mask, g, c.shape))
+    got = _unpool(mask, L.relu_backward(pooled, g), c.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", BATCH_SIZES)

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -382,6 +383,31 @@ def test_damaged_csv_files_keep_the_exit_contract(trained_model, data):
         assert not re.search(r"(?i)\bnan\b", out.getvalue())
 
 
+@pytest.mark.parametrize("row,command,message", [
+    (3, "evaluate", "labels not covered by the taxonomy"),  # 'Benign\n...'
+    (3, "train", "labels not covered by the taxonomy"),
+    (30, "evaluate", "labels absent from the trained class map"),  # 'DDoS-TCP\n...'
+])
+def test_a_label_read_across_lines_is_shown_on_one_line(trained_model, tmp_path,
+                                                        capsys, recwarn, row,
+                                                        command, message):
+    # One stray quote before a label field: the csv module reads the rest of
+    # the file into that label.
+    good_csv, model = trained_model
+    lines = Path(good_csv).read_text(encoding="utf-8").splitlines(keepends=True)
+    head, _, label = lines[row].rpartition(",")
+    lines[row] = f'{head},"{label}'
+    bad = tmp_path / "quoted.csv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    other = {"evaluate": ["--model", model],
+             "train": ["--out", str(tmp_path / "m.fsnt")]}[command]
+    assert run([command, "--data", str(bad), *other]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    joined = label + "".join(lines[row + 1 :])
+    assert captured.err == f"error: {message}: {joined!r}\n"
+
+
 _COMMANDS = ("train", "evaluate", "predict", "inspect", "frobnicate", None)
 _FLAGS = ("--data", "--task", "--label-column", "--taxonomy", "--epochs",
           "--batch-size", "--lr", "--val-split", "--seed", "--early-stop-patience",
@@ -421,8 +447,8 @@ def test_random_flag_vectors_keep_the_exit_contract(trained_model, data):
     pairs += data.draw(st.lists(st.one_of(flags, flags, flags, st.sampled_from(_FLAGS))
                                 .flatmap(lambda f: st.tuples(st.just(f), _value(f))),
                                 max_size=6))
-    # save_model renames its file over the target, which would replace the
-    # device node
+    # save_model refuses a device before training, but a regression would
+    # rename its file over this machine's device node
     assume(not (command == "train" and ("--out", "/dev/null") in pairs))
     argv = [command] * (command is not None) + [v for pair in pairs for v in pair]
     cwd = os.getcwd()
@@ -840,9 +866,13 @@ def test_read_errors_name_the_path_and_reason(trained_model, tmp_path, capsys,
 
 def test_train_out_dir_is_checked_before_the_first_epoch(flow_csv, tmp_path, capsys,
                                                          recwarn):
+    # the rename that saves the model would replace a FIFO or a device
+    os.mkfifo(pipe := tmp_path / "pipe")
     for out, reason in ((tmp_path / "no" / "m.fsnt", "No such file or directory"),
                         (Path(flow_csv) / "m.fsnt", "Not a directory"),
-                        (tmp_path, "Is a directory")):
+                        (tmp_path, "Is a directory"),
+                        ("", "No such file or directory"),
+                        (pipe, "not a regular file")):
         errs = []
         for _ in range(2):
             assert run(["train", "--data", flow_csv, "--epochs", "2",
@@ -852,6 +882,7 @@ def test_train_out_dir_is_checked_before_the_first_epoch(flow_csv, tmp_path, cap
             assert "epoch" not in captured.err
             errs.append(captured.err)
         assert errs == [f"error: cannot write model file {out}: {reason}\n"] * 2
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
     bad = tmp_path / "bad.csv"
     bad.write_text("f1,label\nNaN,Benign\n", encoding="utf-8")
     assert run(["train", "--data", str(bad), "--out", str(out)]) == 2  # CSV first

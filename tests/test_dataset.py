@@ -129,9 +129,13 @@ def test_map_labels_all_tasks():
 
 
 def test_map_labels_unmatched_label():
-    with pytest.raises(DataError, match="not covered by the taxonomy") as err:
-        map_labels(["Benign", "Weird-Thing"], default_taxonomy(), "category")
-    assert "Weird-Thing" in str(err.value)
+    # A printable label is shown as it is, any other through repr, so the
+    # message stays on one line.
+    with pytest.raises(DataError) as err:
+        map_labels(["Benign", "Zé", "Weird-Thing", "Odd\nOne", "Zé"],
+                   default_taxonomy(), "category")
+    assert str(err.value) == (
+        "labels not covered by the taxonomy: 'Odd\\nOne', Weird-Thing, Zé")
 
 
 def test_map_labels_unknown_task():

@@ -4,7 +4,7 @@ The conv and dense kernels run their left folds inside np.einsum calls. The
 properties compare them byte for byte with `conv1d_brute`, `dense_brute`,
 `dense_backward_brute` and `conv1d_backward_brute` over random shapes,
 single-element outputs included. The restricted-dispatch tests re-run the
-oracle, batch and Adam tests with numpy's wider SIMD targets switched off;
+oracle, batch, Adam and trainer tests with numpy's wider SIMD targets off;
 numpy reads that setting at import, so they run in a child process.
 """
 
@@ -165,12 +165,18 @@ def test_conv_backward_bytes_equal_brute(shape, seed, relu, zero_rows):
     if relu:
         grad_out[rng.random(grad_out.shape) < 0.3] = 0.0
     w = rng.standard_normal((filters, channels, k))
-    got = L.conv1d_backward(L.Conv1DLayer(weights=w, bias=_bias(rng, filters)),
-                            x, grad_out)
+    layer = L.Conv1DLayer(weights=w, bias=_bias(rng, filters))
+    got = L.conv1d_backward(layer, x, grad_out)
     want = conv1d_backward_brute(x, w, grad_out)
     for name, g, o in zip(("d_weights", "d_bias", "d_input"), got, want):
         assert g.shape == o.shape, name
         assert (g + 0.0).tobytes() == (o + 0.0).tobytes(), name
+    # conv1's call skips the input gradient; the parameter gradients keep
+    # their bytes
+    *skipped, no_input = L.conv1d_backward(layer, x, grad_out, False)
+    assert no_input is None
+    for g, s in zip(got, skipped):
+        assert g.tobytes() == s.tobytes()
 
 
 _RESTRICTED = "AVX512_SPR AVX512_ICL X86_V4"
@@ -192,6 +198,7 @@ def test_oracle_and_batch_bytes_under_restricted_dispatch(features):
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_layers.py", "tests/test_batch.py",
          "tests/test_fold_kernels.py", "tests/test_optim.py",
+         "tests/test_trainer.py",
          "-k", "not restricted_dispatch"],
         cwd=_TESTS.parent, env=env, capture_output=True, text=True,
     )

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from flowsentinel import layers as L
 from flowsentinel.errors import DataError
 from flowsentinel.optim import (
+    BETA1,
+    BETA2,
+    EPSILON,
     PROB_FLOOR,
     AdamState,
     adam_step,
@@ -175,6 +178,34 @@ def test_adam_over_the_joined_table_is_adam_over_its_pieces(features, classes):
         assert joined.tobytes() == b"".join(p.tobytes() for p in pieces)
         assert state.m.tobytes() == b"".join(s.m.tobytes() for s in states)
         assert state.v.tobytes() == b"".join(s.v.tobytes() for s in states)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e200])
+def test_in_place_adam_gives_the_bytes_of_the_expression(scale):
+    # adam_step updates m and v in place and builds the update in one
+    # scratch buffer; the bytes are those of the expression below, evaluated
+    # into temporaries. 1e200 makes g * g overflow to inf.
+    rng = np.random.default_rng(7)
+    state = AdamState(shape=(301,), lr=0.003)
+    m, v = np.zeros(301), np.zeros(301)
+    params = rng.standard_normal(301)
+    for t in range(1, 51):
+        grads = rng.standard_normal(301) * scale * 10.0 ** rng.uniform(-3, 3, 301)
+        grads[rng.random(301) < 0.2] = 0.0
+        grads[rng.random(301) < 0.2] = -0.0
+        kept = params.copy(), grads.copy()
+        with np.errstate(over="ignore", under="ignore"):
+            m = BETA1 * m + (1.0 - BETA1) * grads
+            v = BETA2 * v + (1.0 - BETA2) * (grads * grads)
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
+            want = params - state.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+            got = adam_step(state, params, grads)
+        assert params.tobytes() == kept[0].tobytes()
+        assert grads.tobytes() == kept[1].tobytes()
+        assert got.tobytes() == want.tobytes(), f"step {t}"
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        params = got
 
 
 @settings(max_examples=100, deadline=None)
