@@ -157,9 +157,11 @@ def _listing(items: list[str], sep: str) -> str:
 
 
 def printable_label(label: str) -> str:
-    """`label` as an error message shows it: as is when printable, else as
-    its repr, so a label that holds a newline keeps the message on one line."""
-    return label if label.isprintable() else repr(label)
+    """`label` as an error message shows it: as is when printable, not empty
+    and not padded with whitespace, else as its repr, so the message stays on
+    one line and every label in it can be seen."""
+    plain = label and label.isprintable() and label == label.strip()
+    return label if plain else repr(label)
 
 
 def _parse_block(block: list[list[str]], columns: list[int]) -> np.ndarray | None:

@@ -1,20 +1,20 @@
 """Batch-first forward and backward passes for the layer stack.
 
 Layer kinds: Conv1D (cross-correlation, stride 1, no padding), ReLU,
-MaxPool1D (non-overlapping, odd remainder dropped), Flatten, Dense, Softmax.
+MaxPool1D (non-overlapping pairs), Flatten, Dense, Softmax.
 
 Kernels take plain float64 ndarrays whose first axis is the sample: conv and
 flatten inputs are (N, length, channels), dense and softmax inputs
 (N, width). One sample is the N=1 batch of the same kernel. Max pooling works
-on rows (length, channels); a batch is pooled as the rows of all its samples,
-each trimmed to whole windows, so no window spans two samples. The forward
-pass keeps one bool per pooled cell, True where the window's second row won,
-and the backward pass routes each gradient through it.
+on an even count of (rows, channels) rows; a batch is pooled as the rows of
+its samples, each of even length, so no window spans two samples. The
+forward pass keeps one bool per pooled cell, True where the window's second
+row won, and the backward pass routes each gradient through it.
 
 The kernels check no shapes: callers guarantee them. `trainer.forward` and
-`trainer.backward` are the only callers, and every shape they pass follows
-from `param_shapes(arch)` and `shape_chain(arch)`; `train` and
-`apply_standardizer` check the input at the public boundary.
+`trainer.backward` are the only callers, and every shape they pass, each
+pool's even length too, follows from `param_shapes(arch)` and
+`shape_chain(arch)`; `train` and `apply_standardizer` check the input.
 
 Every sum is a left fold from 0 over its terms in ascending index order, so
 results are bit-equal to naive loops and do not depend on N or on a sample's
@@ -132,9 +132,9 @@ def conv1d_backward(
 
 def maxpool1d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max of each pair of (rows, channels) rows, the pool size of
-    `trainer.STACK`; an odd last row is dropped. Returns (pooled, mask), the
-    mask True where the second row is the larger, so ties go to the first."""
-    first, second = x[0 : len(x) - 1 : 2], x[1::2]
+    `trainer.STACK`; the row count is even. Returns (pooled, mask), the mask
+    True where the second row is the larger, so ties go to the first."""
+    first, second = x[0::2], x[1::2]
     return np.maximum(first, second), second > first
 
 
@@ -145,9 +145,8 @@ def maxpool1d_backward(
     lands as +0.0); np.where, not a product with the mask, so an infinite
     gradient leaves no NaN in the other row."""
     grad = np.zeros(input_shape)
-    first, second = grad[0 : 2 * len(mask) : 2], grad[1 : 2 * len(mask) : 2]
-    first += np.where(mask, 0.0, grad_out)
-    second += np.where(mask, grad_out, 0.0)
+    grad[0::2] += np.where(mask, 0.0, grad_out)
+    grad[1::2] += np.where(mask, grad_out, 0.0)
     return grad
 
 

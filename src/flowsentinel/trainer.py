@@ -86,19 +86,20 @@ for _name, _size in STACK.items():  # class attributes, not fields
 
 
 def shape_chain(arch: ArchitectureConfig) -> list[int]:
-    """Lengths along the stack: [F, conv1, pool1, conv2, pool2].
+    """Lengths each stage reads: [input, conv1, pool1, conv2, pool2].
 
-    Valid convolution maps L to L-k+1; pooling maps L to floor(L/pool).
-    Raises if any stage would underflow: running the stages backwards from
-    a final length of 1 gives the smallest workable F, (1*2 + 2)*2 + 2 = 10.
+    Valid convolution maps L to L-k+1 and pooling L to floor(L/pool). Worked
+    back from the pool2 length, each pool reads whole windows: F=16 gives
+    [14, 12, 6, 4, 2]. No output depends on the features past the first
+    entry. Raises below the smallest workable F, (1*2 + 2)*2 + 2 = 10.
     """
     if arch.feature_count < 10:
         raise DataError(f"feature_count {arch.feature_count} is too "
                         "small for the conv/pool stack; minimum is 10")
     k, pool = STACK["kernel_size"], STACK["pool_size"]
-    conv1 = arch.feature_count - k + 1
-    conv2 = conv1 // pool - k + 1
-    return [arch.feature_count, conv1, conv1 // pool, conv2, conv2 // pool]
+    pool2 = ((arch.feature_count - k + 1) // pool - k + 1) // pool
+    conv1 = (pool2 * pool + k - 1) * pool
+    return [conv1 + k - 1, conv1, conv1 // pool, pool2 * pool, pool2]
 
 
 def flatten_length(arch: ArchitectureConfig) -> int:
@@ -230,40 +231,35 @@ def _layers(model: ModelParams) -> list:
 
 
 def _pool(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max-pool an (N, L, C) batch as the rows of its samples, each trimmed
-    to whole windows so no window spans two samples; returns (pooled, mask)."""
-    pool = STACK["pool_size"]
+    """Max-pool an (N, L, C) batch, L even, as the rows of its samples: no
+    window spans two samples. Returns (pooled, mask), mask (N*L/2, C)."""
     n, length, channels = x.shape
-    t_out = length // pool
-    rows = x[:, : t_out * pool].reshape(n * t_out * pool, channels)
-    pooled, mask = L.maxpool1d_forward(rows)
-    return pooled.reshape(n, t_out, channels), mask
+    pooled, mask = L.maxpool1d_forward(x.reshape(n * length, channels))
+    return pooled.reshape(n, length // 2, channels), mask
 
 
-def _unpool(
-    mask: np.ndarray, grad: np.ndarray, shape: tuple[int, int, int]
-) -> np.ndarray:
-    """Gradient of `_pool` for an input of `shape`; trimmed rows get 0."""
-    pool = STACK["pool_size"]
-    n, length, channels = shape
-    t_out = length // pool
-    rows = L.maxpool1d_backward(
-        mask, grad.reshape(n * t_out, channels), (n * t_out * pool, channels)
-    )
-    out = np.zeros(shape)
-    out[:, : t_out * pool] = rows.reshape(n, t_out * pool, channels)
-    return out
+def _unpool(mask: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Gradient of `_pool`: N rows of pooled-cell gradients routed to the
+    (N, L, C) input."""
+    rows, channels = mask.shape
+    return L.maxpool1d_backward(
+        mask, grad.reshape(rows, channels), (2 * rows, channels)
+    ).reshape(len(grad), -1, channels)
 
 
 def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Run an (N, feature_count, 1) batch through the stack.
 
+    It reads the first `shape_chain(arch)[0]` features, the ones an output
+    depends on, and applies each conv stage's ReLU to the pooled half.
     Returns the (N, class_count) logits and the activations `backward` reads.
     """
     conv1, conv2, dense1, output = _layers(model)
-    p1, mask1 = _pool(L.relu(L.conv1d_forward(conv1, x)))
-    p2, mask2 = _pool(L.relu(L.conv1d_forward(conv2, p1)))
-    flat = L.flatten(p2)
+    x = x[:, : shape_chain(model.arch)[0]]
+    p1, mask1 = _pool(L.conv1d_forward(conv1, x))
+    p1 = L.relu(p1)
+    p2, mask2 = _pool(L.conv1d_forward(conv2, p1))
+    flat = L.flatten(L.relu(p2))
     h = L.dense_forward(dense1, flat)
     hr = L.relu(h)
     logits = L.dense_forward(output, hr)
@@ -276,23 +272,20 @@ def backward(
     """The parameter gradient as one vector laid out as `model.values`, each
     kernel writing its sums over the batch (in sample order) into its slices.
 
-    Each conv stage's ReLU is gated on its pooled output, before the unpool:
-    a pooled cell is the max of two ReLU outputs, so it is > 0 exactly when
-    the conv output of the row that won is. conv1's input gradient is not
-    computed; nothing reads it."""
+    Each conv stage's ReLU is gated on its pooled output, before the unpool,
+    as the forward applies it. conv1's input gradient is not computed;
+    nothing reads it."""
     conv1, conv2, dense1, output = _layers(model)
     x, mask1, p1, mask2, flat, h, hr = activations
-    n = len(x)
-    _, len1, _, len2, _ = shape_chain(model.arch)
     g = param_views(model.arch, grads := np.empty_like(model.values))
     g["output.weights"][...], g["output.bias"][...], d_hr = L.dense_backward(
         output, hr, grad_logits)
     g["dense1.weights"][...], g["dense1.bias"][...], d_flat = L.dense_backward(
         dense1, flat, L.relu_backward(h, d_hr))
-    d_c2 = _unpool(mask2, L.relu_backward(flat, d_flat), (n, len2, conv2.filters))
+    d_c2 = _unpool(mask2, L.relu_backward(flat, d_flat))
     g["conv2.weights"][...], g["conv2.bias"][...], d_p1 = L.conv1d_backward(
         conv2, p1, d_c2)
-    d_c1 = _unpool(mask1, L.relu_backward(p1, d_p1), (n, len1, conv1.filters))
+    d_c1 = _unpool(mask1, L.relu_backward(p1, d_p1))
     g["conv1.weights"][...], g["conv1.bias"][...], _ = L.conv1d_backward(
         conv1, x, d_c1, False)
     return grads
@@ -392,7 +385,8 @@ def train(
             on_epoch(epoch + 1, cfg.epochs, train_loss, train_acc, val_loss, val_acc)
         if not math.isnan(val_loss) and val_loss < best_val:
             best_val = val_loss
-            best_values = model.values.copy()
+            if cfg.early_stop_patience > 0:
+                best_values = model.values.copy()
             history.best_epoch = epoch
             stale = 0
         else:
@@ -400,9 +394,9 @@ def train(
         if cfg.early_stop_patience > 0 and stale >= cfg.early_stop_patience:
             break
 
-    if best_values is None:
+    if best_val == math.inf:
         history.best_epoch = history.epochs_run() - 1
-    elif cfg.early_stop_patience > 0:
+    elif best_values is not None:
         np.copyto(model.values, best_values)
     return model, history
 

@@ -2,7 +2,7 @@
 
 Every kernel is checked against the stacked results of N=1 calls, and every
 parameter gradient against the in-order sum of per-sample gradients, for
-several batch sizes and for odd lengths that leave a pooling remainder.
+several batch sizes and lengths.
 """
 
 import numpy as np
@@ -90,7 +90,7 @@ def test_dense_batch_equals_single_samples(n):
 @pytest.mark.parametrize("n", BATCH_SIZES)
 def test_pool_batch_equals_single_samples(n):
     rng = np.random.default_rng(300 + n)
-    for length, channels in ((7, 3), (10, 2), (5, 1)):
+    for length, channels in ((8, 3), (10, 2), (6, 1)):
         x = rng.standard_normal((n, length, channels))
         x[:, 1::3] = x[:, ::3][:, : x[:, 1::3].shape[1]]  # ties between taps
         pooled, argmax = _pool(x)
@@ -98,7 +98,7 @@ def test_pool_batch_equals_single_samples(n):
         assert np.array_equal(pooled, np.stack([p for p, _ in per]))
 
         g = rng.standard_normal(pooled.shape)
-        back = _unpool(argmax, g, x.shape)
+        back = _unpool(argmax, g)
         singles = [L.maxpool1d_backward(arg, g[i], (length, channels))
                    for i, (_, arg) in enumerate(per)]
         assert np.array_equal(back, np.stack(singles))
@@ -109,7 +109,7 @@ def test_pool_matches_flat_index_reference(n):
     """The pairwise maximum and its mask give the bytes of the window argmax
     and np.add.at route, signed zeros included."""
     rng = np.random.default_rng(500 + n)
-    for length, channels in ((7, 3), (10, 32), (5, 64), (14, 1)):
+    for length, channels in ((8, 3), (10, 32), (6, 64), (14, 1)):
         x = L.relu(rng.standard_normal((n, length, channels)))  # zero ties
         x[:, 1::4] = x[:, ::4][:, : x[:, 1::4].shape[1]]  # nonzero ties
         x[rng.random(x.shape) < 0.1] = -0.0  # ties of 0.0 with -0.0
@@ -119,7 +119,7 @@ def test_pool_matches_flat_index_reference(n):
 
         g = rng.standard_normal(pooled.shape)
         g[rng.random(g.shape) < 0.3] = -0.0  # must land as +0.0
-        back = _unpool(mask, g, x.shape)
+        back = _unpool(mask, g)
         assert back.tobytes() == unpool_flat_index(flat_index, g, x.shape).tobytes()
 
 
@@ -131,19 +131,24 @@ def _with_specials(rng, shape):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5), st.integers(2, 15), st.integers(1, 4),
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 4),
        st.integers(0, 2**32 - 1))
-def test_relu_gate_on_the_pooled_side_gives_the_same_bytes(n, length, channels,
-                                                           seed):
-    # backward gates each conv stage's ReLU on its pooled output, before the
-    # unpool: a pooled cell is max(relu(a), relu(b)), so it is > 0 exactly
-    # when the winning row's conv output is. Odd lengths leave a trimmed row.
+def test_relu_after_pool_gives_the_same_bytes(n, half, channels, seed):
+    # forward pools each conv output, then applies ReLU to the pooled half;
+    # backward gates that ReLU on the pooled output, before the unpool. Both
+    # give the bytes of ReLU before the pool, gated on the conv output:
+    # relu(max(a, b)) is max(relu(a), relu(b)) since relu never returns
+    # -0.0, and the masks differ only where both rows are <= 0, which the
+    # gate zeroes.
     rng = np.random.default_rng(seed)
-    c = _with_specials(rng, (n, length, channels))  # the conv output
-    pooled, mask = _pool(L.relu(c))
+    c = _with_specials(rng, (n, 2 * half, channels))  # the conv output
+    relu_first, mask_before = _pool(L.relu(c))
+    pooled, mask = _pool(c)
+    pooled = L.relu(pooled)
+    assert pooled.tobytes() == relu_first.tobytes()
     g = _with_specials(rng, pooled.shape)
-    want = L.relu_backward(c, _unpool(mask, g, c.shape))
-    got = _unpool(mask, L.relu_backward(pooled, g), c.shape)
+    want = L.relu_backward(c, _unpool(mask_before, g))
+    got = _unpool(mask, L.relu_backward(pooled, g))
     assert got.tobytes() == want.tobytes()
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowsentinel import cli
@@ -383,6 +383,73 @@ def test_damaged_csv_files_keep_the_exit_contract(trained_model, data):
         assert not re.search(r"(?i)\bnan\b", out.getvalue())
 
 
+_NUMBER = st.one_of(st.floats(-1e9, 1e9).map(repr),
+                    st.integers(-10**6, 10**6).map(str))
+_CELL = st.one_of(_NUMBER, _NUMBER, st.sampled_from(
+    ["", "nan", "inf", "-inf", "1e309", "1.7e308", "5e-324", '"2.5"', '"', '""',
+     "x1", "1,5", " 1", "0x10", "\u00e9t\u00e9", "\u6d41\u91cf", "\x00"]))
+_GOOD_LABEL = st.sampled_from(["Benign", "DDoS-TCP", "DoS-SYN"])
+_LABEL = st.one_of(_GOOD_LABEL, st.sampled_from(
+    ["", "Benign ", "Mystery", "Z\u00e9", '"', "nan"]))
+
+
+@st.composite
+def _random_csv(draw):
+    """CSV bytes built from nothing: a header of 1 to 14 columns, one of them
+    `label` or none, rows of numbers and known labels or of any cells, and
+    a random line ending after each line."""
+    names = [f"f{i}" for i in range(draw(st.integers(1, 14)))]
+    if draw(st.booleans()):
+        names[draw(st.integers(0, len(names) - 1))] = "label"
+    cell, label = draw(st.sampled_from([(_NUMBER, _GOOD_LABEL), (_CELL, _LABEL)]))
+    lines = [names] + [[draw(label if name == "label" else cell) for name in names]
+                       for _ in range(draw(st.integers(0, 16)))]
+    return "".join(",".join(line) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                   for line in lines).encode("utf-8")
+
+
+def _trainable_csv() -> bytes:
+    rng = np.random.default_rng(0)
+    lines = [",".join([f"f{i}" for i in range(11)] + ["label"])]
+    for i in range(16):
+        values = rng.standard_normal(11) + 3 * (i % 2)
+        lines.append(",".join(map(repr, values.tolist()))
+                     + ("," + ("Benign", "DDoS-TCP")[i % 2]))
+    return "\r\n".join(lines).encode("utf-8")
+
+
+_TRAINABLE = _trainable_csv()
+
+
+@settings(max_examples=200, deadline=None)
+@example(_TRAINABLE)
+@given(_random_csv())
+def test_random_csv_files_keep_the_exit_contract(blob):
+    # train, then predict and evaluate on the model it wrote: each run ends
+    # in exit 0-3 with no traceback and at most one error line, and predict
+    # prints no NaN probability.
+    with tempfile.TemporaryDirectory() as work:
+        data, model = os.path.join(work, "flows.csv"), os.path.join(work, "m.fsnt")
+        Path(data).write_bytes(blob)
+        argvs = [["train", "--data", data, "--epochs", "1", "--out", model],
+                 ["predict", "--model", model, "--data", data],
+                 ["evaluate", "--model", model, "--data", data]]
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            assert err.getvalue().count("error:") <= 1
+            if argv[0] == "train":
+                assert code == 0 or blob != _TRAINABLE
+                if code:
+                    break
+            elif argv[0] == "predict" and code == 0:
+                rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+                assert all(not math.isnan(float(v)) for row in rows for v in row[1:])
+
+
 @pytest.mark.parametrize("row,command,message", [
     (3, "evaluate", "labels not covered by the taxonomy"),  # 'Benign\n...'
     (3, "train", "labels not covered by the taxonomy"),
@@ -406,6 +473,26 @@ def test_a_label_read_across_lines_is_shown_on_one_line(trained_model, tmp_path,
     _assert_one_error_line(captured, recwarn)
     joined = label + "".join(lines[row + 1 :])
     assert captured.err == f"error: {message}: {joined!r}\n"
+
+
+@pytest.mark.parametrize("command,label,message", [
+    ("train", "", "labels not covered by the taxonomy: ''"),
+    ("evaluate", "DDoS-x ", "labels absent from the trained class map: 'DDoS-x '"),
+], ids=["train-empty", "evaluate-trailing-space"])
+def test_an_empty_or_padded_label_is_shown_as_its_repr(trained_model, tmp_path,
+                                                       capsys, recwarn, command,
+                                                       label, message):
+    good_csv, model = trained_model
+    lines = Path(good_csv).read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = lines[3].rpartition(",")[0] + f",{label}\n"
+    bad = tmp_path / "labels.csv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    other = {"evaluate": ["--model", model],
+             "train": ["--out", str(tmp_path / "m.fsnt")]}[command]
+    assert run([command, "--data", str(bad), *other]) == 2
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured, recwarn)
+    assert captured.err == f"error: {message}\n"
 
 
 _COMMANDS = ("train", "evaluate", "predict", "inspect", "frobnicate", None)

@@ -25,6 +25,7 @@ from flowsentinel.trainer import (
     evaluate,
     flatten_length,
     forward,
+    non_finite_param,
     param_shapes,
     param_slices,
     param_views,
@@ -59,8 +60,42 @@ def _prepared_blobs(n_per_class, seed, val_fraction=None, train_seed=42):
 
 def test_shape_chain_f16():
     arch = ArchitectureConfig(feature_count=16, class_count=3)
-    assert shape_chain(arch) == [16, 14, 7, 5, 2]
+    assert shape_chain(arch) == [14, 12, 6, 4, 2]
     assert flatten_length(arch) == 128
+
+
+@pytest.mark.parametrize("features", range(10, 51))
+def test_forward_reads_only_the_features_some_output_depends_on(features):
+    arch = ArchitectureConfig(feature_count=features, class_count=3)
+    model = build_model(arch, np.random.default_rng(features))
+    x = np.random.default_rng(100 + features).standard_normal((3, features, 1))
+    read = shape_chain(arch)[0]
+    want = forward(model, x)[0].tobytes()
+    for index in range(read, features):
+        for value in (1e308, -np.inf, np.nan):
+            changed = x.copy()
+            changed[:, index] = value
+            assert forward(model, changed)[0].tobytes() == want, (index, value)
+    changed = x.copy()
+    changed[:, read - 1] += 5.0
+    assert forward(model, changed)[0].tobytes() != want
+    if features in (16, 45):
+        assert read == {16: 14, 45: 42}[features]
+
+
+def test_an_unread_feature_leaves_the_gradient_finite():
+    # Column 15 at F=16 reaches no output. Were it read, conv1's last row
+    # would be infinite, and a gradient term 0 * inf would make conv2's
+    # weight gradient NaN: a false "training diverged".
+    arch = ArchitectureConfig(feature_count=16, class_count=3)
+    model = build_model(arch, np.random.default_rng(0))
+    model.params["conv1.weights"][:, 0, 2] = 10.0
+    x = np.random.default_rng(1).standard_normal((4, 16, 1))
+    x[:, 15] = 1e308
+    logits, activations = forward(model, x)
+    lv = softmax_ce_grad(logits, np.array([0, 1, 2, 0]))
+    assert np.isfinite(lv.loss).all()
+    assert non_finite_param(arch, backward(model, activations, lv.grad)) is None
 
 
 def test_build_model_f16_shapes():
