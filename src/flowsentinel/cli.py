@@ -186,8 +186,7 @@ def _cmd_train(args) -> None:
         raise DataError(f"{args.data}: no samples to train on")
     if args.limit_per_class is not None:
         ds = subsample_stratified(ds, args.limit_per_class, cfg.seed)
-    mapped = map_labels(ds.raw_labels, taxonomy, args.task)
-    label_map, class_idx = encode_labels(mapped)
+    label_map, class_idx = encode_labels(map_labels(ds.raw_labels, taxonomy, args.task))
     if len(label_map) < 2:
         raise DataError(
             f"{args.data}: task {args.task} maps every row to the one class "
@@ -197,9 +196,12 @@ def _cmd_train(args) -> None:
     # the training rows' copy is freed once the standardizer is fitted
     preproc = fit_standardizer(Tensor._wrap(ds.features.array[split.train_indices]),
                                label_map=label_map, task=args.task)
-    x3 = apply_standardizer(preproc, ds.features)
+    features = apply_standardizer(preproc, ds.features)
+    # the raw block is not read again: training holds only the standardized one
+    feature_names, sample_count = ds.feature_names, ds.sample_count
+    del ds
     arch = ArchitectureConfig(
-        feature_count=ds.features.shape[1], class_count=len(label_map)
+        feature_count=features.shape[1], class_count=len(label_map)
     )
     model = build_model(arch, np.random.default_rng(cfg.seed))
     check_model_dir(args.out)  # after the data checks, before the first epoch
@@ -211,7 +213,7 @@ def _cmd_train(args) -> None:
             file=sys.stderr,
         )
 
-    model, history = train(model, x3, class_idx, cfg, split, on_epoch=on_epoch)
+    model, history = train(model, features, class_idx, cfg, split, on_epoch=on_epoch)
     # report the epoch whose parameters the model holds
     held = history.best_epoch if cfg.early_stop_patience > 0 else -1
     final = {key: getattr(history, key)[held]
@@ -224,10 +226,10 @@ def _cmd_train(args) -> None:
         best_epoch=history.best_epoch,
         final_metrics=final,
     )
-    save_model(args.out, model, preproc, taxonomy, metadata, ds.feature_names)
+    save_model(args.out, model, preproc, taxonomy, metadata, feature_names)
     print(
         f"trained task={args.task} classes={len(label_map)} "
-        f"features={arch.feature_count} samples={ds.sample_count} "
+        f"features={arch.feature_count} samples={sample_count} "
         f"epochs_run={history.epochs_run()} best_epoch={history.best_epoch + 1}"
     )
     print(
@@ -259,9 +261,10 @@ def _cmd_predict(args) -> None:
     pred_idx, probs = predict(model, preproc, features)
     class_names = preproc.label_map
     header = ["predicted_label"] + [f"prob_{name}" for name in class_names]
+    # one row's Python floats at a time, not the whole table's
     rows = (
-        [class_names[i], *map(repr, row)]
-        for i, row in zip(pred_idx, probs.array.tolist())
+        [class_names[i], *map(repr, row.tolist())]
+        for i, row in zip(pred_idx, probs.array)
     )
     with _output(args.out, "predictions") as fh:
         writer = csv.writer(fh)

@@ -49,10 +49,6 @@ class Dataset:
     feature_names: list[str]
 
     def __post_init__(self):
-        if self.features.rank != 2:
-            raise DataError(
-                f"dataset features must be rank 2, got {self.features.shape}"
-            )
         if self.features.shape[0] != len(self.raw_labels):
             raise DataError(
                 f"{self.features.shape[0]} feature rows vs "

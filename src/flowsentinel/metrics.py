@@ -138,17 +138,18 @@ def classification_report(
                 degenerate=p_deg or r_deg,
             )
         )
+    count = len(per_class) or 1  # an empty report averages to 0.0
     macro = Averages(
-        precision=_mean([m.precision for m in per_class]),
-        recall=_mean([m.recall for m in per_class]),
-        f1=_mean([m.f1 for m in per_class]),
+        precision=_fold(m.precision for m in per_class) / count,
+        recall=_fold(m.recall for m in per_class) / count,
+        f1=_fold(m.f1 for m in per_class) / count,
     )
     if total:
         weights = [m.support / total for m in per_class]
         weighted = Averages(
-            precision=sum(w * m.precision for w, m in zip(weights, per_class)),
-            recall=sum(w * m.recall for w, m in zip(weights, per_class)),
-            f1=sum(w * m.f1 for w, m in zip(weights, per_class)),
+            precision=_fold(w * m.precision for w, m in zip(weights, per_class)),
+            recall=_fold(w * m.recall for w, m in zip(weights, per_class)),
+            f1=_fold(w * m.f1 for w, m in zip(weights, per_class)),
         )
         accuracy = float(np.trace(confusion)) / total
     else:
@@ -165,5 +166,11 @@ def classification_report(
     )
 
 
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+def _fold(terms) -> float:
+    """The terms added left to right from 0.0. From Python 3.12 on, the
+    built-in sum() of floats is compensated, which changes the last bits of
+    a report between interpreters; this fold gives the same bits on each."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total

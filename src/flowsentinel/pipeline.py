@@ -73,10 +73,7 @@ def fit_standardizer(
     task: str = "multiclass",
 ) -> PreprocState:
     """Per-feature mean and population std (divide by N) from training rows."""
-    if features.rank != 2:
-        raise DataError(f"features must be rank 2, got {features.shape}")
-    n = features.shape[0]
-    if n < 1:
+    if features.shape[0] < 1:
         raise DataError("cannot fit a standardizer on zero samples")
     x = features.array
     means = x.mean(axis=0)
@@ -93,22 +90,22 @@ def fit_standardizer(
 
 
 def apply_standardizer(state: PreprocState, features: Tensor) -> Tensor:
-    """(x - mean) / std per feature, with a trailing unit channel axis."""
-    if features.rank != 2:
-        raise DataError(f"features must be rank 2, got {features.shape}")
+    """(x - mean) / std per feature: the (N, F) block, built in one array
+    with the bits of `(x - means) / stds`."""
     if features.shape[1] != len(state.means):
         raise DataError(
             f"feature count mismatch: standardizer expects "
             f"{len(state.means)}, got {features.shape[1]}"
         )
-    z = (features.array - state.means) / state.stds
+    z = features.array - state.means
+    z /= state.stds
     if not np.isfinite(z).all():
         sample, feature = np.argwhere(~np.isfinite(z))[0]
         raise DataError(
             f"sample {sample + 1}, feature {feature + 1}: standardized value "
             "is not finite (too far outside the training range)"
         )
-    return Tensor._wrap(z[:, :, None])
+    return Tensor._wrap(z)
 
 
 def stratified_split(

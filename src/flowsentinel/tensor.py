@@ -1,38 +1,28 @@
-"""The frozen float64 array (rank 1-3) that carries data across the library
-boundary."""
+"""The frozen float64 (rows, columns) block that carries data across the
+library boundary."""
 
 from __future__ import annotations
-
-import math
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
 
-MAX_RANK = 3
-
 
 class Tensor:
-    """Immutable dense array of 64-bit floats, row-major, rank 1 to 3.
+    """Immutable 2-D array of 64-bit floats, row-major: one row per sample.
 
     The container for data at the library boundary: dataset features,
-    standardized inputs, training labels and predicted probabilities. The
-    layer kernels work on plain ndarrays.
+    standardized features and predicted probabilities. The layer kernels
+    work on plain ndarrays.
     """
 
     __slots__ = ("_array",)
 
-    def __init__(self, data, shape: Sequence[int] | None = None):
+    def __init__(self, data):
         array = np.array(data, dtype=np.float64, order="C")
-        if shape is not None:
-            shape = tuple(int(d) for d in shape)
-            if array.size != math.prod(shape):
-                raise DataError(f"cannot shape {array.size} values into {shape}")
-            array = array.reshape(shape)
-        if array.ndim < 1 or array.ndim > MAX_RANK:
-            raise DataError(f"rank must be 1..{MAX_RANK}, got shape {array.shape}")
-        if array.size and not np.all(np.isfinite(array)):
+        if array.ndim != 2:
+            raise DataError(f"a tensor is 2-D (rows, columns), got shape {array.shape}")
+        if not np.isfinite(array).all():
             raise DataError("tensor values must be finite (no NaN/Inf)")
         array.flags.writeable = False
         self._array = array
@@ -52,14 +42,9 @@ class Tensor:
         return self._array.shape
 
     @property
-    def rank(self) -> int:
-        return self._array.ndim
-
-    @property
     def array(self) -> np.ndarray:
-        """The shaped ndarray view (read-only)."""
+        """The (rows, columns) ndarray view (read-only)."""
         return self._array
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-

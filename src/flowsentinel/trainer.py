@@ -248,7 +248,8 @@ def _unpool(mask: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Run an (N, feature_count, 1) batch through the stack.
+    """Run an (N, feature_count, 1) batch through the stack: `train` and
+    `predict` pass their (N, F) features as this one-channel view.
 
     It reads the first `shape_chain(arch)[0]` features, the ones an output
     depends on, and applies each conv stage's ReLU to the pooled half.
@@ -324,7 +325,8 @@ def train(
     """Mini-batch training with per-epoch validation monitoring.
 
     Features must already be standardized and shaped (samples,
-    arch.feature_count, 1), else DataError; labels are one integer
+    arch.feature_count), as `apply_standardizer` returns them, else
+    DataError; the stack reads them as one channel. Labels are one integer
     class index per sample, below class_count. With
     early_stop_patience > 0, training stops after that many consecutive
     epochs without a validation loss improvement and the best epoch's
@@ -333,11 +335,11 @@ def train(
     model as it was before that batch.
     """
     width = model.arch.feature_count
-    if dataset_features.shape[1:] != (width, 1):
+    if dataset_features.shape[1:] != (width,):
         raise DataError(
-            f"features must be (samples, {width}, 1), got {dataset_features.shape}"
+            f"features must be (samples, {width}), got {dataset_features.shape}"
         )
-    x3 = dataset_features.array
+    x3 = dataset_features.array[:, :, None]
     y = class_indices(labels, x3.shape[0], model.arch.class_count)
     train_idx = list(split.train_indices)
     val_idx = list(split.val_indices)
@@ -417,7 +419,7 @@ def predict(
     at most WORKERS + 1 at a time; their logits are checked, softmaxed and
     written back in chunk order. No thread outlives the call.
     """
-    x3 = apply_standardizer(preproc, raw_features).array
+    x3 = apply_standardizer(preproc, raw_features).array[:, :, None]
     probs = np.empty((x3.shape[0], model.arch.class_count))
     pred: list[int] = []
     starts = range(0, x3.shape[0], EVAL_CHUNK)

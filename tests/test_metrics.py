@@ -131,3 +131,36 @@ def test_report_serializes_to_text_and_dict():
     assert "accuracy: 0.750000" in text
     assert "neg" in text and "pos" in text
     assert "confusion matrix" in text
+
+
+def _neumaier(values, start=0):
+    """Compensated summation, as the built-in sum() of floats does from
+    Python 3.12 on."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
+def test_report_averages_are_a_left_fold_on_every_python(monkeypatch):
+    import flowsentinel.metrics as metrics
+
+    confusion = np.array([[40, 0, 0], [4, 36, 0], [8, 12, 20]])
+    names = ["a", "b", "c"]
+    per_class = classification_report(confusion, names).per_class
+    f1_terms = [m.support / 120 * m.f1 for m in per_class]
+    assert _neumaier(f1_terms) == 0.7848045674132631  # the compensated bits
+
+    monkeypatch.setattr(metrics, "sum", _neumaier, raising=False)
+    report = classification_report(confusion, names)
+    assert report.weighted.f1 == 0.784804567413263
+    for key in ("precision", "recall", "f1"):
+        a, b, c = (getattr(m, key) for m in report.per_class)
+        wa, wb, wc = (m.support / 120 for m in report.per_class)
+        assert getattr(report.weighted, key) == ((0.0 + wa * a) + wb * b) + wc * c
+        assert getattr(report.macro, key) == ((0.0 + a) + b + c) / 3

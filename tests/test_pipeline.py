@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,21 +65,21 @@ def test_fit_standardizer_empty():
 def test_apply_standardizer_values_and_shape():
     state = fit_standardizer(Tensor([[1.0], [3.0]]))
     out = apply_standardizer(state, Tensor([[1.0], [3.0]]))
-    assert out.shape == (2, 1, 1)
-    assert out.array.tolist() == [[[-1.0]], [[1.0]]]
+    assert out.shape == (2, 1)
+    assert out.array.tolist() == [[-1.0], [1.0]]
 
 
 def test_apply_standardizer_degenerate_maps_to_zero():
     state = fit_standardizer(Tensor([[5.0], [5.0]]))
     out = apply_standardizer(state, Tensor([[5.0]]))
-    assert out.array.tolist() == [[[0.0]]]
+    assert out.array.tolist() == [[0.0]]
 
 
 def test_apply_standardizer_train_columns_are_zscores():
     rng = np.random.default_rng(21)
     x = Tensor(rng.standard_normal((200, 6)) * rng.uniform(0.5, 9.0, 6) + 11.0)
     state = fit_standardizer(x)
-    z = apply_standardizer(state, x).array[:, :, 0]
+    z = apply_standardizer(state, x).array
     assert np.all(np.abs(z.mean(axis=0)) < 1e-9)
     assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-9)
 
@@ -104,16 +106,31 @@ def test_standardizer_state_must_be_finite():
 def test_apply_standardizer_rejects_non_finite_zscores():
     state = PreprocState(means=[0.0, 0.0], stds=[1.0, 1e-300],
                          degenerate=[False, False], label_map=[])
-    assert apply_standardizer(state, Tensor([[1.0, 1e-10]])).shape == (1, 2, 1)
+    assert apply_standardizer(state, Tensor([[1.0, 1e-10]])).shape == (1, 2)
     with pytest.raises(DataError, match="sample 2, feature 2"):
         apply_standardizer(state, Tensor([[1.0, 1e-10], [1.0, 1e10]]))
+
+
+def test_apply_standardizer_builds_one_block():
+    # The z-scores are built in their own array: one (N, F) block plus the
+    # finiteness mask (an eighth of a block), not a second float temporary.
+    x = Tensor(np.random.default_rng(23).standard_normal((20_000, 45)) * 50.0 + 3.0)
+    state = fit_standardizer(x)
+    tracemalloc.start()
+    try:
+        z = apply_standardizer(state, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(z.array, (x.array - state.means) / state.stds)
+    assert peak <= 1.2 * z.array.nbytes, f"peak {peak / z.array.nbytes:.2f} blocks"
 
 
 def test_standardize_is_invertible():
     rng = np.random.default_rng(22)
     x = rng.standard_normal((50, 4)) * 7.5 + 3.0
     state = fit_standardizer(Tensor(x))
-    z = apply_standardizer(state, Tensor(x)).array[:, :, 0]
+    z = apply_standardizer(state, Tensor(x)).array
     back = z * state.stds + state.means
     assert np.max(np.abs(back - x)) < 1e-9
 

@@ -228,16 +228,16 @@ def test_train_validates_inputs():
     cfg = TrainConfig(epochs=1)
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
     rng = np.random.default_rng(1)
-    x3 = Tensor(rng.standard_normal((4, 16, 1)))
-    with pytest.raises(DataError, match=r"got \(4, 16\)$"):  # no trailing channel axis
-        train(model, Tensor(x3.array[:, :, 0]), np.array([0, 1, 2, 0]), cfg,
+    x = Tensor(rng.standard_normal((4, 16)))
+    with pytest.raises(DataError, match=r"got \(4, 16, 1\)$"):  # the stack's own layout
+        train(model, Tensor._wrap(x.array[:, :, None]), np.array([0, 1, 2, 0]), cfg,
               SplitIndices(train_indices=[0, 1, 2], val_indices=[3]))
     with pytest.raises(DataError, match="training set is empty"):
-        train(model, x3, np.array([0, 1, 2, 0]), cfg,
+        train(model, x, np.array([0, 1, 2, 0]), cfg,
               split=SplitIndices(train_indices=[], val_indices=[0]))
     # F=17 flattens to the same 128 values as F=16, so only train can tell
-    wide = Tensor(rng.standard_normal((4, 17, 1)))
-    with pytest.raises(DataError, match=r"\(samples, 16, 1\)"):
+    wide = Tensor(rng.standard_normal((4, 17)))
+    with pytest.raises(DataError, match=r"\(samples, 16\), got \(4, 17\)$"):
         train(model, wide, np.array([0, 1, 2, 0]), cfg,
               SplitIndices(train_indices=[0, 1, 2], val_indices=[3]))
 
@@ -257,10 +257,10 @@ def test_train_rejects_labels_before_any_batch(monkeypatch, labels):
 
     monkeypatch.setattr(trainer_module, "forward", no_batch)
     model = build_model(ArchitectureConfig(16, 3), np.random.default_rng(0))
-    x3 = Tensor(np.random.default_rng(1).standard_normal((4, 16, 1)))
+    x = Tensor(np.random.default_rng(1).standard_normal((4, 16)))
     split = SplitIndices(train_indices=[0, 1, 2], val_indices=[3])
     with pytest.raises(FlowSentinelError):
-        train(model, x3, labels, TrainConfig(epochs=1), split)
+        train(model, x, labels, TrainConfig(epochs=1), split)
 
 
 def test_best_epoch_is_last_without_validation():
@@ -330,7 +330,7 @@ def test_early_stopping_stops_and_restores_best():
     model, hist = train(model, x3, y, cfg, split=split)
     assert hist.epochs_run() < 60
     # restored parameters evaluate to the recorded best validation loss
-    val_loss, _ = _eval_split(model, x3.array, y, split.val_indices)
+    val_loss, _ = _eval_split(model, x3.array[:, :, None], y, split.val_indices)
     best = min(hist.val_loss)
     assert math.isclose(val_loss, best, rel_tol=0, abs_tol=1e-12)
     assert hist.val_loss[hist.best_epoch] == best
