@@ -144,13 +144,13 @@ def main() -> None:
 
 
 def _load_taxonomy(args):
-    return load_taxonomy(args.taxonomy) if args.taxonomy else default_taxonomy()
+    return default_taxonomy() if args.taxonomy is None else load_taxonomy(args.taxonomy)
 
 
 def _check_out(path: str | None) -> None:
     """Refuse an --out whose directory cannot take it before the work that
     would fill it."""
-    if path and (reason := dir_fault(path)):
+    if path is not None and (reason := dir_fault(path)):
         raise DataError(f"cannot write {path}: {reason}")
 
 
@@ -158,7 +158,7 @@ def _check_out(path: str | None) -> None:
 def _output(path: str | None, what: str):
     """Yield the --out file, or stdout when there is none; a written file
     is named on stderr."""
-    if not path:
+    if path is None:
         yield sys.stdout
         return
     # The open, the writes and the close: a full disk shows at the last
@@ -256,9 +256,11 @@ def _cmd_evaluate(args) -> None:
 
 def _cmd_predict(args) -> None:
     model, preproc, taxonomy, metadata, feature_names = load_model(args.model)
-    features = load_feature_matrix(args.data, feature_names)
+    # Handed over by pop, so that no name here holds the raw block and
+    # predict can free it once it is standardized.
+    raw = [load_feature_matrix(args.data, feature_names)]
     _check_out(args.out)
-    pred_idx, probs = predict(model, preproc, features)
+    pred_idx, probs = predict(model, preproc, raw.pop())
     class_names = preproc.label_map
     header = ["predicted_label"] + [f"prob_{name}" for name in class_names]
     # one row's Python floats at a time, not the whole table's

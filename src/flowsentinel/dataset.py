@@ -1,11 +1,13 @@
 """CSV ingestion of flow-feature records and the label taxonomy that maps raw
 attack names onto the binary / category / multiclass tasks.
 
-Input CSV: UTF-8, comma-separated, header row first, one designated label
-column; every other column is parsed as a decimal float and must be finite.
+Input CSV: UTF-8 (a leading byte-order mark is dropped), comma-separated,
+header row first, one designated label column; every other column is parsed
+as a decimal float and must be finite.
 
-Taxonomy file: one `kind,pattern,category` rule per line, kind in
-{exact, prefix, contains}, `#` comments allowed, applied top-down first-match.
+Taxonomy file, decoded as the CSV is: one `kind,pattern,category` rule per
+line, kind in {exact, prefix, contains}, `#` comments allowed, applied
+top-down first-match.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def default_taxonomy() -> Taxonomy:
 def load_taxonomy(path: str) -> Taxonomy:
     rules = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw_line in enumerate(fh, start=1):
                 line = raw_line.strip()
                 if not line or line.startswith("#"):
@@ -160,40 +162,32 @@ def printable_label(label: str) -> str:
     return label if plain else repr(label)
 
 
-def _parse_block(block: list[list[str]], columns: list[int]) -> np.ndarray | None:
-    """The block's cells in `columns` as a (rows, columns) float64 array,
-    every cell through `float` in one C-level pass; None when a cell does not
-    parse or is not finite."""
-    if len(columns) == 1:  # itemgetter of one index returns the cell itself
-        cells = map(itemgetter(columns[0]), block)
-    elif columns:
-        cells = chain.from_iterable(map(itemgetter(*columns), block))
-    else:
-        cells = iter(())
+def _parse_cells(
+    block: list[list[str]], columns: list[int], header: list[str], row0: int,
+    bad: list[str],
+) -> np.ndarray | None:
+    """The block's cells in `columns` as a (rows, columns) float64 array, all
+    through `float` in one C-level pass; else None, with each cell that does
+    not parse or is not finite named into `bad` until it holds one past the
+    cap. Rows count from the file's first data row; `row0` precede the block."""
+    cells = [row[j] for row in block for j in columns]
     try:
-        values = np.fromiter(
-            map(float, cells), dtype=np.float64, count=len(block) * len(columns)
-        )
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
     except ValueError:
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return values.reshape(len(block), len(columns))
-
-
-def _bad_cells(
-    block: list[list[str]], columns: list[int], header: list[str], row0: int
-) -> Iterator[str]:
-    """Name the block's unparsable or non-finite cells; rows count from the
-    first data row of the file, `row0` being the rows before this block."""
-    for r, row in enumerate(block, start=row0 + 1):
-        for j in columns:
-            try:
-                ok = math.isfinite(float(row[j]))
-            except ValueError:
-                ok = False
-            if not ok:
-                yield f"row {r}, column {header[j]}"
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return values.reshape(len(block), len(columns))
+    for i, cell in enumerate(cells):
+        try:
+            ok = math.isfinite(float(cell))
+        except ValueError:
+            ok = False
+        if not ok:
+            r, k = divmod(i, len(columns))
+            bad.append(f"row {row0 + r + 1}, column {header[columns[k]]}")
+            if len(bad) > _MAX_REPORTED_CELLS:
+                break
+    return None
 
 
 # No plain block holds these: the csv module's quote, NUL, and the four
@@ -278,7 +272,7 @@ def _read_csv(
     label or feature column, and unparsable or non-finite feature cells.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return _read_blocks(path, fh, label_column, feature_names)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
@@ -294,8 +288,8 @@ def _read_blocks(
 ) -> tuple[list[str], np.ndarray, list[str]]:
     """Blocks of plain lines (see `_parse_plain`) take numpy's C parser.
     From the first block that does not, the csv module reads the rest of the
-    file, and it alone judges quoting, field counts and bad cells, and
-    words every error."""
+    file, and it alone judges quoting, field counts and bad cells (one
+    `_parse_cells` call per block), and words every error."""
     reader = csv.reader(fh)
     line0 = 0  # physical lines read before `reader` started
     try:
@@ -339,13 +333,8 @@ def _read_blocks(
             # field counts and read errors of the remaining rows still matter.
             if not (duplicate or ragged or rejected
                     or len(bad) > _MAX_REPORTED_CELLS):
-                values = _parse_block(block, columns)
-                if values is None:
-                    bad += islice(
-                        _bad_cells(block, columns, header, row0),
-                        _MAX_REPORTED_CELLS + 1 - len(bad),
-                    )
-                else:
+                values = _parse_cells(block, columns, header, row0, bad)
+                if values is not None:
                     blocks.append(values)
                     if label_j is not None:
                         labels += map(itemgetter(label_j), block)
@@ -447,8 +436,5 @@ def subsample_stratified(ds: Dataset, per_class_cap: int, seed: int) -> Dataset:
         order = rng.permutation(len(members))
         keep.extend(members[j] for j in order[:per_class_cap])
     keep.sort()
-    return replace(
-        ds,
-        features=Tensor._wrap(np.ascontiguousarray(ds.features.array[keep])),
-        raw_labels=[ds.raw_labels[i] for i in keep],
-    )
+    return replace(ds, features=Tensor._wrap(ds.features.array[keep]),
+                   raw_labels=[ds.raw_labels[i] for i in keep])

@@ -156,6 +156,8 @@ def save_model(
 def dir_fault(path: str) -> str | None:
     """The OS reason a new file cannot be made at `path`, or None: its
     directory is missing or not a directory, or `path` is a directory."""
+    if not path:  # names no file: open and rename fail with ENOENT
+        return os.strerror(errno.ENOENT)
     if os.path.isdir(path):
         return os.strerror(errno.EISDIR)
     try:
@@ -170,8 +172,6 @@ def check_model_dir(path: str) -> None:
     there, so that a long run does not end in it. An existing `path` that
     is not a regular file, such as a FIFO or a device, is refused too: the
     rename would replace it."""
-    if not path:  # the rename to "" fails
-        raise _cannot_write(path, os.strerror(errno.ENOENT))
     if reason := dir_fault(path):
         raise _cannot_write(path, reason)
     try:

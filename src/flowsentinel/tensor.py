@@ -29,10 +29,9 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, array: np.ndarray) -> "Tensor":
-        # Fast path for internally computed float64 C-contiguous results.
+        # For internally computed results: the caller hands over a fresh
+        # float64 C-contiguous block, which is marked read-only here.
         t = object.__new__(cls)
-        if not array.flags.c_contiguous:
-            array = np.ascontiguousarray(array)
         array.flags.writeable = False
         t._array = array
         return t

@@ -420,6 +420,7 @@ def predict(
     written back in chunk order. No thread outlives the call.
     """
     x3 = apply_standardizer(preproc, raw_features).array[:, :, None]
+    del raw_features  # freed here unless the caller holds it
     probs = np.empty((x3.shape[0], model.arch.class_count))
     pred: list[int] = []
     starts = range(0, x3.shape[0], EVAL_CHUNK)

@@ -905,6 +905,37 @@ def test_predict_writes_rows_without_a_python_copy_of_the_table(tmp_path, monkey
         f"writing added {(peak - returned[0]) / probs_block:.2f} blocks")
 
 
+def test_predict_frees_the_raw_block_once_standardized(tmp_path):
+    # 20k rows of 45 features, 19 classes. Past the loader's raw block,
+    # predict builds the standardized block, the probabilities (0.42 of a
+    # block) and the chunk activations; the peak is about 2.2 blocks. The raw
+    # block held through the forward passes would bring it to about 3.
+    rows, features, classes = 20_000, 45, 19
+    rng = np.random.default_rng(23)
+    names = [f"f{i}" for i in range(features)]
+    model = build_model(ArchitectureConfig(features, classes), rng)
+    pre = fit_standardizer(Tensor(rng.standard_normal((40, features))),
+                           label_map=[f"c{i}" for i in range(classes)])
+    metadata = ModelMetadata(label_column="label", train_config=TrainConfig(),
+                             source="memory", epochs_run=1, best_epoch=0,
+                             final_metrics={})
+    model_path = str(tmp_path / "m.fsnt")
+    save_model(model_path, model, pre, default_taxonomy(), metadata, names)
+    data = tmp_path / "rows.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write(",".join(names) + "\n")
+        np.savetxt(fh, rng.standard_normal((rows, features)), fmt="%.4f", delimiter=",")
+    tracemalloc.start()
+    try:
+        assert run(["predict", "--model", model_path, "--data", str(data),
+                    "--out", str(tmp_path / "p.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = rows * features * 8
+    assert peak < 2.5 * block, f"peak {peak / block:.2f} blocks"
+
+
 def test_train_with_taxonomy_file_and_limit(tmp_path):
     data = write_flow_csv(tmp_path / "d.csv", n_per_class=15,
                           labels=("Benign", "DDoS-TCP", "Odd-Attack"))
@@ -941,6 +972,7 @@ def test_out_dir_is_checked_before_the_forward_pass(flow_csv, tmp_path, capsys,
     monkeypatch.setattr(cli, command, no_forward_pass)
     for out, reason in ((tmp_path / "no" / "out.txt", "No such file or directory"),
                         (Path(flow_csv) / "out.txt", "Not a directory"),
+                        ("", "No such file or directory"),
                         (tmp_path, "Is a directory")):
         assert run([command, "--model", model, "--data", flow_csv,
                     "--out", str(out)]) == 2
@@ -984,6 +1016,7 @@ def test_read_errors_name_the_path_and_reason(trained_model, tmp_path, capsys,
                                               recwarn, reader):
     data, model = trained_model
     for path, reason in ((tmp_path / "missing", "No such file or directory"),
+                         ("", "No such file or directory"),
                          (tmp_path, "Is a directory")):
         argv, what, code = {
             "csv": (["predict", "--model", model, "--data", str(path)], "", 2),

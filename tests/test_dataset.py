@@ -1,4 +1,6 @@
+import codecs
 import csv
+import io
 import math
 import tracemalloc
 from unittest import mock
@@ -166,6 +168,14 @@ def test_taxonomy_file_round_trip(tmp_path):
         TaxonomyRule("contains", "Spoof", "Spoofing"),
     ]
     assert tax.category_of("XSpoofY") == "Spoofing"
+
+
+def test_taxonomy_file_with_a_byte_order_mark(tmp_path):
+    text = "exact,Benign,Benign\nprefix,DDoS,DDoS\n"
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert load_taxonomy(str(bom)).rules == load_taxonomy(str(plain)).rules
 
 
 def test_taxonomy_file_errors(tmp_path):
@@ -571,6 +581,28 @@ def test_crlf_and_lone_cr_files_load_bit_equal(tmp_path, small_blocks, end):
     last = _write_lines(tmp_path / "last.csv", [f"L{r}{end}" for r in range(7)],
                         header="label" + end)
     assert load_csv(last).raw_labels == [f"L{r}" for r in range(7)]
+
+
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC],
+                         ids=["plain", "quoted"])
+def test_byte_order_mark_is_not_part_of_the_first_field(tmp_path, small_blocks,
+                                                       quoting):
+    # quoted names and labels send every block through the csv module
+    values = np.random.default_rng(9).standard_normal((10, 2)) * 1e3
+    text = io.StringIO()
+    writer = csv.writer(text, quoting=quoting, lineterminator="\n")
+    writer.writerow(["f0", "f1", "label"])
+    writer.writerows([a, b, f"L{r}"] for r, (a, b) in enumerate(values.tolist()))
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text.getvalue(), encoding="utf-8")
+    bom.write_bytes(codecs.BOM_UTF8 + text.getvalue().encode("utf-8"))
+    want, got = load_csv(str(plain)), load_csv(str(bom))
+    assert got.feature_names == want.feature_names == ["f0", "f1"]
+    assert got.features.array.tobytes() == want.features.array.tobytes()
+    assert got.features.array.tobytes() == values.tobytes()
+    assert got.raw_labels == want.raw_labels == [f"L{r}" for r in range(10)]
+    first = load_csv(str(bom), label_column="f0", feature_names=["f1"])
+    assert first.raw_labels == list(map(repr, values[:, 0].tolist()))
 
 
 def test_feature_matrix_reorders_columns_after_plain_blocks(tmp_path,
