@@ -249,6 +249,30 @@ def test_subsample_deterministic():
     assert np.array_equal(a.features.array, b.features.array)
 
 
+# ARP has 4 rows, Benign 8, DoS 5 and Recon 1; feature `row` is the row number.
+_UNEVEN_LABELS = ["DoS", "Benign", "ARP", "Benign", "DoS", "Recon", "Benign",
+                  "ARP", "DoS", "Benign", "Benign", "ARP", "DoS", "Benign",
+                  "DoS", "Benign", "ARP", "Benign"]
+
+
+@pytest.mark.parametrize("cap, seed, kept", [
+    (1, 5, [5, 12, 16, 17]),
+    (4, 8, [0, 1, 2, 4, 5, 7, 9, 11, 12, 13, 14, 16, 17]),
+    (5, 6, [0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 16, 17]),
+    (8, 2, list(range(18))),
+    (9, 2, list(range(18))),
+], ids=["cap-1", "cap-4", "cap-5", "cap-8", "cap-9"])
+def test_subsample_pinned_draws(cap, seed, kept):
+    """The exact rows each cap and seed keep, in file order, with caps below,
+    equal to and above the class sizes."""
+    ds = Dataset(features=Tensor(np.arange(18.0)[:, None]),
+                 raw_labels=list(_UNEVEN_LABELS), source="mem",
+                 feature_names=["row"])
+    out = subsample_stratified(ds, cap, seed=seed)
+    assert out.features.array[:, 0].tolist() == kept
+    assert out.raw_labels == [_UNEVEN_LABELS[i] for i in kept]
+
+
 def test_subsample_rejects_bad_cap():
     with pytest.raises(DataError, match="per_class_cap must be >= 1, got 0"):
         subsample_stratified(_dataset(["A"]), 0, seed=1)

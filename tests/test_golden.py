@@ -108,3 +108,31 @@ def test_golden_batch_size_one(tmp_path, monkeypatch, capsys):
     assert _sha("single.fsnt") == (
         "81d5d7381a1f172e77845ec9b947b7b1e0a4791ffb77a50ffae8b4d765a00083"
     )
+
+
+def test_golden_limit_per_class(tmp_path, monkeypatch, capsys):
+    # The wide CSV cut to classes of 3, 10, 14 and 20 rows, capped at 10 per
+    # raw label (below, at and above the cap), trained on the category task.
+    # Recorded while the split and the subsample still drew into Python
+    # lists; the rows they pick must not move.
+    monkeypatch.chdir(tmp_path)
+    _write_wide_csv(tmp_path / "full.csv")
+    header, *rows = (tmp_path / "full.csv").read_text(encoding="utf-8").splitlines()
+    size = {label: (3, 10, 14, 20)[c % 4] for c, label in enumerate(WIDE_LABELS)}
+    seen = dict.fromkeys(WIDE_LABELS, 0)
+    kept = [header]
+    for row in rows:
+        label = row.rpartition(",")[2]
+        seen[label] += 1
+        if seen[label] <= size[label]:
+            kept.append(row)
+    (tmp_path / "capped.csv").write_text("\n".join(kept) + "\n", encoding="utf-8")
+    got = _train_and_score(capsys, "capped.csv", "capped",
+                           ["--task", "category", "--limit-per-class", "10",
+                            "--epochs", "2", "--batch-size", "32", "--seed", "4"])
+    assert got == {
+        "model": "bd300d1f2703fc7cc146caee27bbcd1b47da820e356f074a840c1ab50280e716",
+        "epoch_lines": "127a0b4879ac5a88ae8d8a0c5f4d9263467d2aa13b97cd985d5a63fab41640e4",
+        "predict": "7565867d3e4451f39987cab2968d140c61665fc13fd6d6c63185b260daf2a761",
+        "report": "d966755e7d01a1ca90a93536faad03008c6bb2168ec5299ad38f73c8e8eb85bc",
+    }

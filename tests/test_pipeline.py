@@ -165,6 +165,26 @@ def test_stratified_split_is_partition():
     assert sorted(train | val) == list(range(57))
 
 
+# Class 0 has 10 rows, class 1 five, class 2 four and class 3 one, interleaved.
+_UNEVEN_CLASSES = [2, 0, 1, 0, 0, 3, 1, 0, 2, 0, 1, 0, 0, 2, 1, 0, 0, 1, 2, 0]
+
+
+@pytest.mark.parametrize("fraction, seed, train, val", [
+    (0.25, 11, [0, 1, 2, 3, 4, 5, 6, 7, 9, 13, 14, 15, 17, 18, 19],
+     [8, 10, 11, 12, 16]),
+    (0.5, 3, [5, 7, 9, 10, 11, 13, 14, 15, 16, 18],
+     [0, 1, 2, 3, 4, 6, 8, 12, 17, 19]),
+    (0.1, 0, [0, 1, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19],
+     [2, 9]),
+])
+def test_stratified_split_pinned_draws(fraction, seed, train, val):
+    """The exact rows each seed draws: a change to the per-class order or to
+    the permutation calls shows here before it reaches a model file."""
+    split = stratified_split(_UNEVEN_CLASSES, fraction, seed=seed)
+    assert list(split.train_indices) == train
+    assert list(split.val_indices) == val
+
+
 def test_stratified_split_validation():
     with pytest.raises(DataError, match="cannot split an empty index list"):
         stratified_split([], 0.2, seed=0)
