@@ -1,8 +1,8 @@
 """Batch command line: train, evaluate, predict, inspect.
 
 Progress goes to stderr, results to stdout or --out files. Exit codes:
-0 success, 1 usage error, 2 data error (DataError), 3 model-file error
-(ModelStoreError).
+0 success, 1 usage error, 2 data error (DataError) or out of memory, 3
+model-file error (ModelStoreError), 130 interrupted.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_MODEL = 3
+EXIT_INTERRUPTED = 130  # the shell's code for SIGINT
 
 
 class _UsageError(Exception):
@@ -107,6 +108,7 @@ def run(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
+    args = argparse.Namespace(command=parser.prog)  # until argv is parsed
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -129,14 +131,18 @@ def run(argv: list[str] | None = None) -> int:
     except ModelStoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except FlowSentinelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        # every file is wrapped with its path; anything left is a failed
+    except (FlowSentinelError, OSError) as exc:
+        # every file is wrapped with its path; an OSError left is a failed
         # write to stdout
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # numpy's names the allocation it refused
+        detail = str(exc) or "an allocation failed"
+        print(f"error: out of memory in {args.command}: {detail}", file=sys.stderr)
+        return EXIT_DATA
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def main() -> None:

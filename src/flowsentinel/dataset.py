@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import contains, eq, itemgetter
 from typing import Iterator, Sequence
 
@@ -318,7 +319,7 @@ def _read_blocks(
                     break
                 blocks.append(values)
                 if label_j is not None:
-                    labels += _plain_labels(lines, label_j, width)
+                    labels += map(sys.intern, _plain_labels(lines, label_j, width))
                 row0 += len(lines)
                 line0 += len(lines)
             reader = csv.reader(chain(lines, fh))
@@ -337,7 +338,7 @@ def _read_blocks(
                 if values is not None:
                     blocks.append(values)
                     if label_j is not None:
-                        labels += map(itemgetter(label_j), block)
+                        labels += map(sys.intern, map(itemgetter(label_j), block))
             row0 += len(block)
     except csv.Error as exc:
         raise DataError(f"{path}:{line0 + reader.line_num}: {exc}") from None
@@ -423,18 +424,14 @@ def subsample_stratified(ds: Dataset, per_class_cap: int, seed: int) -> Dataset:
     """Keep at most per_class_cap rows of each raw class, seeded shuffle."""
     if per_class_cap < 1:
         raise DataError(f"per_class_cap must be >= 1, got {per_class_cap}")
-    by_class: dict[str, list[int]] = {}
-    for i, label in enumerate(ds.raw_labels):
-        by_class.setdefault(label, []).append(i)
+    code: dict[str, int] = {}
+    codes = np.fromiter((code.setdefault(label, len(code)) for label in ds.raw_labels),
+                        dtype=np.intp, count=len(ds.raw_labels))
     rng = np.random.default_rng(seed)
-    keep: list[int] = []
-    for label in sorted(by_class):
-        members = by_class[label]
-        if len(members) <= per_class_cap:
-            keep.extend(members)
-            continue
-        order = rng.permutation(len(members))
-        keep.extend(members[j] for j in order[:per_class_cap])
-    keep.sort()
+    keep = np.ones(codes.size, dtype=bool)
+    for label in sorted(code):
+        members = np.flatnonzero(codes == code[label])
+        if members.size > per_class_cap:
+            keep[members[rng.permutation(members.size)[per_class_cap:]]] = False
     return replace(ds, features=Tensor._wrap(ds.features.array[keep]),
-                   raw_labels=[ds.raw_labels[i] for i in keep])
+                   raw_labels=list(compress(ds.raw_labels, keep)))

@@ -54,8 +54,8 @@ class PreprocState:
 
 @dataclass
 class SplitIndices:
-    train_indices: list[int]
-    val_indices: list[int]
+    train_indices: np.ndarray  # ascending row numbers, np.intp
+    val_indices: np.ndarray
 
 
 def encode_labels(raw_labels: Sequence[str]) -> tuple[list[str], list[int]]:
@@ -116,17 +116,12 @@ def stratified_split(
         raise DataError("cannot split an empty index list")
     if not 0.0 < val_fraction < 1.0:
         raise DataError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    by_class: dict[int, list[int]] = {}
-    for i, c in enumerate(class_indices):
-        by_class.setdefault(int(c), []).append(i)
+    classes = np.asarray(class_indices, dtype=np.intp)
     rng = np.random.default_rng(seed)
-    train: list[int] = []
-    val: list[int] = []
-    for c in sorted(by_class):
-        members = by_class[c]
-        n_val = min(int(math.floor(val_fraction * len(members) + 0.5)), len(members) - 1)
-        order = rng.permutation(len(members))
-        shuffled = [members[j] for j in order]
-        val.extend(shuffled[:n_val])
-        train.extend(shuffled[n_val:])
-    return SplitIndices(train_indices=sorted(train), val_indices=sorted(val))
+    val = np.zeros(classes.size, dtype=bool)
+    for c in np.unique(classes):
+        members = np.flatnonzero(classes == c)
+        n_val = min(int(math.floor(val_fraction * members.size + 0.5)), members.size - 1)
+        val[members[rng.permutation(members.size)[:n_val]]] = True
+    return SplitIndices(train_indices=np.flatnonzero(~val),
+                        val_indices=np.flatnonzero(val))

@@ -297,7 +297,7 @@ def _correct(logits: np.ndarray, targets: np.ndarray) -> int:
 
 
 def _eval_split(
-    model: ModelParams, x3: np.ndarray, y: np.ndarray, indices: Sequence[int]
+    model: ModelParams, x3: np.ndarray, y: np.ndarray, indices: np.ndarray
 ) -> tuple[float, float]:
     """Mean loss and accuracy over the given sample indices (NaN if empty)."""
     if len(indices) == 0:
@@ -341,11 +341,11 @@ def train(
         )
     x3 = dataset_features.array[:, :, None]
     y = class_indices(labels, x3.shape[0], model.arch.class_count)
-    train_idx = list(split.train_indices)
-    val_idx = list(split.val_indices)
-    if not train_idx:
+    train_idx = np.asarray(split.train_indices, dtype=np.intp)
+    val_idx = np.asarray(split.val_indices, dtype=np.intp)
+    if not train_idx.size:
         raise DataError("training set is empty")
-    if cfg.early_stop_patience > 0 and not val_idx:
+    if cfg.early_stop_patience > 0 and not val_idx.size:
         raise DataError("early stopping needs a non-empty validation split")
 
     state = AdamState(shape=model.values.shape, lr=cfg.lr)
@@ -356,7 +356,7 @@ def train(
     stale = 0
 
     for epoch in range(cfg.epochs):
-        order = [train_idx[j] for j in rng.permutation(len(train_idx))]
+        order = train_idx[rng.permutation(train_idx.size)]
         epoch_loss = 0.0
         epoch_correct = 0
         for b, start in enumerate(range(0, len(order), cfg.batch_size), 1):

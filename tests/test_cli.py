@@ -5,7 +5,10 @@ import math
 import os
 import re
 import shutil
+import resource
 import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -144,6 +147,77 @@ def _assert_one_error_line(captured, recwarn):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def _exhaust_memory(*args, **kwargs):
+    np.empty(2**59)  # 4 EiB: refused at once, so numpy names the allocation
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def _bare_memory_error(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+@pytest.mark.parametrize("fail, code, message", [
+    (_exhaust_memory, 2, "error: out of memory in {}: Unable to allocate 4.00 EiB "
+     "for an array with shape (576460752303423488,) and data type float64"),
+    (_bare_memory_error, 2, "error: out of memory in {}: an allocation failed"),
+    (_interrupt, 130, "error: interrupted"),
+], ids=["numpy-oom", "bare-oom", "interrupt"])
+def test_memory_and_interrupt_end_in_one_line(flow_csv, tmp_path, capsys, monkeypatch,
+                                              command, fail, code, message):
+    model = str(tmp_path / "model.fsnt")
+    if command == "train":
+        argv = ["train", "--data", flow_csv, "--out", str(tmp_path / "new.fsnt")]
+    else:
+        _train(flow_csv, tmp_path)
+        capsys.readouterr()
+        argv = [command, "--model", model, "--data", flow_csv]
+    monkeypatch.setattr(cli, "load_csv", fail)
+    monkeypatch.setattr(cli, "load_feature_matrix", fail)
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == message.format(command) + "\n"
+    assert captured.out == ""
+    assert not (tmp_path / "new.fsnt").exists()
+
+
+def test_train_out_of_memory_under_an_address_space_limit(tmp_path):
+    """A real allocation failure in a child whose address space is capped:
+    20000 features need a 327 MB parameter vector."""
+    limit = 256 * 2**20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = subprocess.run([sys.executable, "-c", "import flowsentinel.cli"],
+                           env=env, preexec_fn=cap, capture_output=True)
+    if probe.returncode != 0:
+        pytest.skip("importing the CLI alone does not fit in 256 MB of address space")
+    width = 20000
+    lines = [",".join([f"f{j}" for j in range(width)] + ["label"])]
+    for i, label in enumerate(["Benign", "DDoS-TCP"] * 2):
+        lines.append(",".join([str(i + j % 7) for j in range(width)] + [label]))
+    data = tmp_path / "wide.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "m.fsnt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowsentinel", "train", "--data", str(data),
+         "--out", str(out), "--val-split", "0.5"],
+        env=env, preexec_fn=cap, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory in train: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_train_divergence_is_data_error(flow_csv, tmp_path, capsys, recwarn):

@@ -217,6 +217,20 @@ def test_taxonomy_rule_checks_itself(rule, message):
     assert str(err.value).startswith(message)
 
 
+@pytest.mark.parametrize("first", ["0,1,DoS-TCP", '"0",1,DoS-TCP'],
+                         ids=["plain", "csv-module"])
+def test_load_csv_stores_each_label_once(tmp_path, first):
+    """Each distinct label is one str object, however many rows carry it; a
+    quoted cell sends the file down the csv-module route."""
+    labels = ["DoS-TCP", "Benign", "DoS-TCP", "ARP_Spoofing", "Benign"] * 4
+    rows = [first] + [f"{i},{i + 1},{label}" for i, label in enumerate(labels)][1:]
+    p = tmp_path / "labels.csv"
+    p.write_text("\n".join(["a,b,label", *rows]) + "\n", encoding="utf-8")
+    ds = load_csv(str(p))
+    assert ds.raw_labels == labels
+    assert len({id(label) for label in ds.raw_labels}) == 3
+
+
 def _dataset(labels, seed=0):
     rng = np.random.default_rng(seed)
     return Dataset(

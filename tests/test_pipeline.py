@@ -147,7 +147,15 @@ def test_stratified_split_deterministic():
     idx = [0, 1, 0, 1, 2, 2, 0, 1, 2, 0]
     a = stratified_split(idx, 0.3, seed=77)
     b = stratified_split(idx, 0.3, seed=77)
-    assert a == b
+    assert np.array_equal(a.train_indices, b.train_indices)
+    assert np.array_equal(a.val_indices, b.val_indices)
+
+
+def test_stratified_split_gives_ascending_index_arrays():
+    split = stratified_split([1, 0, 1, 1, 0, 0, 1], 0.4, seed=2)
+    for rows in (split.train_indices, split.val_indices):
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.intp
+        assert np.all(np.diff(rows) > 0)
 
 
 def test_stratified_split_never_empties_a_train_class():
