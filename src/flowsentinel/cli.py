@@ -136,7 +136,7 @@ def run(argv: list[str] | None = None) -> int:
         # write to stdout
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except MemoryError as exc:  # numpy's names the allocation it refused
+    except MemoryError as exc:  # numpy's message names the refused allocation
         detail = str(exc) or "an allocation failed"
         print(f"error: out of memory in {args.command}: {detail}", file=sys.stderr)
         return EXIT_DATA

@@ -223,3 +223,39 @@ def fast_model_loss(params: dict, x: np.ndarray, y: int,
     probs = e / e.sum(axis=1, keepdims=True)
     losses = -np.log(np.maximum(probs[:, int(y)], prob_floor))
     return losses if stacked else float(losses[0])
+
+
+def stratified_split_lists(class_indices, val_fraction: float, seed: int):
+    """Per-class row lists, visited in ascending class order, each shuffled
+    by one `rng.permutation` and cut at the round-half-up validation count
+    (at most all but one row). Returns (train rows, val rows), ascending."""
+    by_class: dict[int, list[int]] = {}
+    for i, c in enumerate(class_indices):
+        by_class.setdefault(int(c), []).append(i)
+    rng = np.random.default_rng(seed)
+    train: list[int] = []
+    val: list[int] = []
+    for c in sorted(by_class):
+        members = by_class[c]
+        n_val = min(int(np.floor(val_fraction * len(members) + 0.5)), len(members) - 1)
+        shuffled = [members[j] for j in rng.permutation(len(members))]
+        val.extend(shuffled[:n_val])
+        train.extend(shuffled[n_val:])
+    return sorted(train), sorted(val)
+
+
+def subsample_rows_lists(raw_labels, per_class_cap: int, seed: int) -> list[int]:
+    """The rows a per-label cap keeps, ascending: labels in sorted order, and
+    one `rng.permutation` only for each label over the cap."""
+    by_label: dict[str, list[int]] = {}
+    for i, label in enumerate(raw_labels):
+        by_label.setdefault(label, []).append(i)
+    rng = np.random.default_rng(seed)
+    keep: list[int] = []
+    for label in sorted(by_label):
+        members = by_label[label]
+        if len(members) <= per_class_cap:
+            keep.extend(members)
+        else:
+            keep.extend(members[j] for j in rng.permutation(len(members))[:per_class_cap])
+    return sorted(keep)

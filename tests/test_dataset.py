@@ -24,6 +24,8 @@ from flowsentinel.dataset import (
 from flowsentinel.errors import DataError
 from flowsentinel.tensor import Tensor
 
+from oracles import subsample_rows_lists
+
 
 def test_load_csv_minimal(tiny_csv):
     ds = load_csv(tiny_csv)
@@ -285,6 +287,19 @@ def test_subsample_pinned_draws(cap, seed, kept):
     out = subsample_stratified(ds, cap, seed=seed)
     assert out.features.array[:, 0].tolist() == kept
     assert out.raw_labels == [_UNEVEN_LABELS[i] for i in kept]
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.sampled_from(["A", "B", "Benign", "DoS", "x y"]),
+                       max_size=40),
+       cap=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_subsample_matches_the_list_reference(labels, cap, seed):
+    ds = Dataset(features=Tensor(np.arange(float(len(labels))).reshape(-1, 1)),
+                 raw_labels=labels, source="mem", feature_names=["row"])
+    kept = subsample_rows_lists(labels, cap, seed)
+    out = subsample_stratified(ds, cap, seed=seed)
+    assert out.features.array[:, 0].tolist() == kept
+    assert out.raw_labels == [labels[i] for i in kept]
 
 
 def test_subsample_rejects_bad_cap():

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsentinel.errors import DataError
 from flowsentinel.pipeline import (
@@ -12,6 +14,8 @@ from flowsentinel.pipeline import (
     stratified_split,
 )
 from flowsentinel.tensor import Tensor
+
+from oracles import stratified_split_lists
 
 
 def test_encode_labels_lexicographic():
@@ -191,6 +195,16 @@ def test_stratified_split_pinned_draws(fraction, seed, train, val):
     split = stratified_split(_UNEVEN_CLASSES, fraction, seed=seed)
     assert list(split.train_indices) == train
     assert list(split.val_indices) == val
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes=st.lists(st.integers(-2, 3), min_size=1, max_size=59),
+       fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_stratified_split_matches_the_list_reference(classes, fraction, seed):
+    split = stratified_split(classes, fraction, seed=seed)
+    train, val = stratified_split_lists(classes, fraction, seed)
+    assert split.train_indices.tolist() == train
+    assert split.val_indices.tolist() == val
 
 
 def test_stratified_split_validation():
