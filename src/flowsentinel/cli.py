@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -267,17 +268,32 @@ def _cmd_predict(args) -> None:
     raw = [load_feature_matrix(args.data, feature_names)]
     _check_out(args.out)
     pred_idx, probs = predict(model, preproc, raw.pop())
-    class_names = preproc.label_map
-    header = ["predicted_label"] + [f"prob_{name}" for name in class_names]
-    # one row's Python floats at a time, not the whole table's
-    rows = (
-        [class_names[i], *map(repr, row.tolist())]
-        for i, row in zip(pred_idx, probs.array)
-    )
     with _output(args.out, "predictions") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_predictions(fh, preproc.label_map, pred_idx, probs.array)
+
+
+# Rows per write of predict's output, and so per block of Python floats.
+WRITE_ROWS = 1024
+
+
+def _write_predictions(fh, class_names, pred_idx: list[int],
+                       probs: np.ndarray) -> None:
+    """The bytes csv.writer writes for the header and, per row, the
+    predicted class name and the repr of each probability. csv.writer quotes
+    each class name once; no float repr needs quoting. The rows are written
+    WRITE_ROWS at a time, from one block of Python floats each."""
+    writer = csv.writer(fh)
+    writer.writerow(["predicted_label"] + [f"prob_{name}" for name in class_names])
+    prefixes = []
+    for name in class_names:
+        line = io.StringIO()
+        csv.writer(line).writerow([name, ""])  # the quoted name, ",", "\r\n"
+        prefixes.append(line.getvalue()[:-2])
+    for start in range(0, len(probs), WRITE_ROWS):
+        block = probs[start : start + WRITE_ROWS].tolist()
+        fh.write("".join(
+            f"{prefixes[i]}{','.join(map(repr, row))}\r\n"
+            for i, row in zip(pred_idx[start : start + WRITE_ROWS], block)))
 
 
 def _cmd_inspect(args) -> None:

@@ -29,13 +29,19 @@ transposed to (N, L, C).
 The conv kernels share `_im2col`'s (1 + C*k, N, t_out) block: row 0 is ones,
 which meets the bias (so the conv output folds 1 * bias first, and d_bias is
 that row's fold against grad_out), and row 1 + c*k + tap holds x[n, t+tap, c].
+The forward folds over that block's rows. The backward lays the same values
+out per sample, as one (N, t_out, 1 + C*k) block with the ones column first,
+so each sample's weight-gradient fold over t reads a C-contiguous
+(t_out, 1 + C*k) slice as it is; every sample's fold goes into one reused
+(1 + C*k, filters) buffer, which is added into the running total.
 
 Backward kernels return plain `(d_weights, d_bias, d_input)`: the first two
 summed over the batch, the last one row per sample. conv1's input gradient
 is skipped: `trainer.backward` passes `conv1d_backward` a positional False,
 which makes d_input None, since nothing reads the network input's gradient.
 
-Each fold runs in one np.einsum call (`_fold_einsum`). That holds while
+Each fold runs in one call of einsum's C entry point (`_fold_einsum`), which
+copies only operands that are not C-contiguous. That holds while
 einsum's multiply-add is not fused to an FMA, as in numpy's x86-64 wheels;
 the oracle tests fail if it breaks. aarch64 is unverified.
 """
@@ -45,7 +51,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum
 
 
 @dataclass
@@ -64,30 +74,49 @@ class DenseLayer:
     bias: np.ndarray  # (out,)
 
 
-def _fold_einsum(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _fold_einsum(
+    spec: str, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """einsum contracting the leading axis j of a and b, as the left fold from
     0 in ascending j: on C-contiguous operands j is outermost, and einsum adds
-    a[j]*b[j] into the output per j. A single-element output would leave j
-    to einsum's unrolled reduction, so np.add.accumulate (sequential by
-    definition) folds that shape, and `+ 0.0` makes it the fold from 0. The
-    forward kernels contract columns this way; the backward kernels contract
-    t or samples for the parameter gradients, and filters or units for the
-    input gradients."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    if a[0].size * b[0].size != 1:
-        return np.einsum(spec, a, b)
+    a[j]*b[j] into the output per j. Only an operand that is not C-contiguous
+    is copied. A single-element output would leave j to einsum's unrolled
+    reduction, so np.add.accumulate (sequential by definition) folds that
+    shape, and `+ 0.0` makes it the fold from 0. The result goes into `out`,
+    a C-contiguous array of its shape, when given. The forward kernels
+    contract columns this way; the backward kernels contract t or samples for
+    the parameter gradients, and filters or units for the input gradients.
+
+    `c_einsum` is what np.einsum calls with `optimize` off, its default,
+    after a Python wrapper that costs about 1.5 us a call."""
+    if not a.flags.c_contiguous:
+        a = np.ascontiguousarray(a)
+    if not b.flags.c_contiguous:
+        b = np.ascontiguousarray(b)
+    if a.size * b.size != len(a) * len(b):  # a[0] and b[0] not both scalars
+        return c_einsum(spec, a, b) if out is None else c_einsum(spec, a, b, out=out)
     products = a.reshape(len(a), 1) * b.reshape(len(b), 1)
     folded = np.add.accumulate(products, axis=0)[-1] + 0.0
-    return folded.reshape(a.shape[1:] + b.shape[1:])
+    folded = folded.reshape(a.shape[1:] + b.shape[1:])
+    if out is None:
+        return folded
+    out[...] = folded
+    return out
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, cols: np.ndarray | None = None) -> np.ndarray:
     """The (1 + C*k, N, t_out) block of an (N, L, C) input: row 0 is ones,
-    to meet the bias, and row 1 + c*k + tap holds x[n, t + tap, c]."""
-    taps = sliding_window_view(x, k, axis=1).transpose(2, 3, 0, 1)
-    cols = np.empty((1 + taps.shape[0] * taps.shape[1],) + taps.shape[2:])
+    to meet the bias, and row 1 + c*k + tap holds x[n, t + tap, c]. It is
+    written by one strided copy per tap into `cols`, an array or view of
+    that shape (a new array when None), and returned."""
+    n, length, in_ch = x.shape
+    t_out = length - k + 1
+    if cols is None:
+        cols = np.empty((1 + in_ch * k, n, t_out))
     cols[0] = 1.0
-    cols[1:].reshape(taps.shape)[...] = taps  # (in_ch, k, N, t_out)
+    by_channel = x.transpose(2, 0, 1)
+    for tap in range(k):
+        cols[1 + tap :: k] = by_channel[:, :, tap : tap + t_out]
     return cols
 
 
@@ -113,11 +142,13 @@ def conv1d_backward(
     n, length, in_ch = x.shape
     k = layer.kernel_size
     t_out = length - k + 1
-    cols = _im2col(x, k)
-    total = np.zeros((len(cols), layer.filters))
+    rows = np.empty((n, t_out, 1 + in_ch * k))  # _im2col's block, per sample
+    _im2col(x, k, rows.transpose(2, 0, 1))
+    total = np.zeros((1 + in_ch * k, layer.filters))
+    sample = np.empty_like(total)
     for i in range(n):
-        total += _fold_einsum("tj,tf->jf", cols[:, i].T, grad_out[i])
-    del cols  # freed before grad_out's filter-major copy below
+        total += _fold_einsum("tj,tf->jf", rows[i], grad_out[i], sample)
+    del rows  # freed before grad_out's filter-major copy below
     d_weights = total[1:].reshape(in_ch, k, layer.filters).transpose(2, 0, 1)
     if not input_grad:
         return d_weights, total[0], None

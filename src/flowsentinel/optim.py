@@ -30,18 +30,21 @@ class LossValue:
 
 @dataclass
 class AdamState:
-    """Moment estimates for one parameter tensor. Single-owner, mutable."""
+    """Moment estimates for one parameter tensor, and the scratch buffer
+    each `adam_step` reuses. Single-owner, mutable."""
 
     shape: tuple[int, ...]
     lr: float = DEFAULT_LR
     t: int = 0
     m: np.ndarray = field(init=False)
     v: np.ndarray = field(init=False)
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.shape = tuple(int(d) for d in self.shape)
         self.m = np.zeros(self.shape)
         self.v = np.zeros(self.shape)
+        self.scratch = np.empty(self.shape)
 
 
 def class_indices(
@@ -92,17 +95,18 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.nda
     """One Adam update; updates state.m and state.v in place and returns the
     new parameters as a new array. `params` and `grads` are never written to.
 
-    The update is built in one scratch buffer and the returned array, with
-    the operations of lr * m_hat / (sqrt(v_hat) + eps) in that order, so the
-    bytes are those of the expression evaluated into temporaries."""
+    The update is built in the state's scratch buffer and the returned
+    array, with the operations of lr * m_hat / (sqrt(v_hat) + eps) in that
+    order, so the bytes are those of the expression evaluated into
+    temporaries."""
     if params.shape != state.shape or grads.shape != state.shape:
         raise DataError(
             f"params {params.shape} / grads {grads.shape} do not match "
             f"optimizer state {state.shape}"
         )
     state.t += 1
-    m, v = state.m, state.v
-    scratch = np.multiply(grads, 1.0 - BETA1)
+    m, v, scratch = state.m, state.v, state.scratch
+    np.multiply(grads, 1.0 - BETA1, out=scratch)
     m *= BETA1
     m += scratch  # BETA1 * m + (1 - BETA1) * g
     np.multiply(grads, grads, out=scratch)

@@ -230,6 +230,16 @@ def _layers(model: ModelParams) -> list:
             for w, b in zip(arrays[0::2], arrays[1::2])]
 
 
+def _inference_layers(model: ModelParams) -> list:
+    """`_layers` with each dense weight matrix copied column-major, so the
+    `weights.T` that `dense_forward` folds is C-contiguous and no chunk's
+    forward copies it. Built once per `predict` or `_eval_split` call: the
+    copies do not follow later changes to the model."""
+    return [L.DenseLayer(np.asfortranarray(layer.weights), layer.bias)
+            if isinstance(layer, L.DenseLayer) else layer
+            for layer in _layers(model)]
+
+
 def _pool(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Max-pool an (N, L, C) batch, L even, as the rows of its samples: no
     window spans two samples. Returns (pooled, mask), mask (N*L/2, C)."""
@@ -247,15 +257,19 @@ def _unpool(mask: np.ndarray, grad: np.ndarray) -> np.ndarray:
     ).reshape(len(grad), -1, channels)
 
 
-def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+def forward(
+    model: ModelParams, x: np.ndarray, layers: list | None = None
+) -> tuple[np.ndarray, tuple]:
     """Run an (N, feature_count, 1) batch through the stack: `train` and
-    `predict` pass their (N, F) features as this one-channel view.
+    `predict` pass their (N, F) features as this one-channel view. `layers`
+    are the model's layer views, `_layers(model)` when None; validation and
+    `predict` pass `_inference_layers(model)`, built once per call.
 
     It reads the first `shape_chain(arch)[0]` features, the ones an output
     depends on, and applies each conv stage's ReLU to the pooled half.
     Returns the (N, class_count) logits and the activations `backward` reads.
     """
-    conv1, conv2, dense1, output = _layers(model)
+    conv1, conv2, dense1, output = layers or _layers(model)
     x = x[:, : shape_chain(model.arch)[0]]
     p1, mask1 = _pool(L.conv1d_forward(conv1, x))
     p1 = L.relu(p1)
@@ -304,9 +318,10 @@ def _eval_split(
         return math.nan, math.nan
     total_loss = 0.0
     correct = 0
+    layers = _inference_layers(model)
     for start in range(0, len(indices), EVAL_CHUNK):
         chunk = indices[start : start + EVAL_CHUNK]
-        logits, _ = forward(model, x3[chunk])
+        logits, _ = forward(model, x3[chunk], layers)
         for loss in softmax_ce_grad(logits, y[chunk]).loss:
             total_loss += float(loss)  # in sample order, as in training
         correct += _correct(logits, y[chunk])
@@ -424,9 +439,10 @@ def predict(
     probs = np.empty((x3.shape[0], model.arch.class_count))
     pred: list[int] = []
     starts = range(0, x3.shape[0], EVAL_CHUNK)
+    layers = _inference_layers(model)
 
     def chunk_logits(start: int) -> np.ndarray:
-        return forward(model, x3[start : start + EVAL_CHUNK])[0]
+        return forward(model, x3[start : start + EVAL_CHUNK], layers)[0]
 
     def take(start: int, logits: np.ndarray) -> None:
         if not np.isfinite(logits).all():

@@ -91,6 +91,18 @@ def conv1d_backward_brute(x: np.ndarray, w: np.ndarray,
     return d_weights, d_bias, d_input
 
 
+def im2col_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """The (1 + C*k, N, t_out) im2col block of an (N, L, C) batch by
+    sliding_window_view plus one transposed copy, the route the per-tap
+    strided copies replaced, kept as their reference: row 0 is ones, row
+    1 + c*k + tap holds x[n, t + tap, c]."""
+    taps = np.lib.stride_tricks.sliding_window_view(x, k, axis=1).transpose(2, 3, 0, 1)
+    cols = np.empty((1 + taps.shape[0] * taps.shape[1],) + taps.shape[2:])
+    cols[0] = 1.0
+    cols[1:].reshape(taps.shape)[...] = taps  # (in_ch, k, N, t_out)
+    return cols
+
+
 def pool_flat_index(x: np.ndarray, pool: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """Max pooling of an (N, L, C) batch by window argmax and flat indices,
     the route the pairwise-maximum kernel replaced, kept as its reference.

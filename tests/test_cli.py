@@ -873,6 +873,27 @@ def test_predict_round_trip_probabilities(flow_csv, tmp_path):
     assert np.array_equal(out.features.array, probs.array)
 
 
+@pytest.mark.parametrize("rows", [0, 1, cli.WRITE_ROWS, 2 * cli.WRITE_ROWS + 7])
+def test_prediction_rows_have_the_csv_writer_bytes(rows):
+    # Class names that csv.writer must quote (a comma, a quote, a newline, a
+    # carriage return, an empty name) and probabilities whose reprs run from
+    # subnormal to 1, written across whole and partial blocks of WRITE_ROWS.
+    names = ["Benign", "a,b", 'say "hi"', "two\nlines", "cr\r", "", " pad "]
+    rng = np.random.default_rng(rows)
+    probs = rng.random((rows, len(names))) * 10.0 ** rng.integers(-320, 1, (rows, len(names)))
+    probs[rng.random(probs.shape) < 0.1] = 0.0
+    probs[:1, :2] = [5e-324, 1.0]
+    pred = rng.integers(0, len(names), rows).tolist()
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["predicted_label"] + [f"prob_{n}" for n in names])
+    writer.writerows([names[i], *map(repr, row.tolist())]
+                     for i, row in zip(pred, probs))
+    got = io.StringIO(newline="")
+    cli._write_predictions(got, names, pred, probs)
+    assert got.getvalue() == want.getvalue()
+
+
 def test_predict_to_stdout_and_unlabeled_input(flow_csv, tmp_path, capsys):
     model = _train(flow_csv, tmp_path)
     capsys.readouterr()  # drop the training output

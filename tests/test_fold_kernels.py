@@ -1,11 +1,13 @@
 """The fold kernels give the loop oracles' bytes, at every SIMD level.
 
-The conv and dense kernels run their left folds inside np.einsum calls. The
+The conv and dense kernels run their left folds inside einsum calls. The
 properties compare them byte for byte with `conv1d_brute`, `dense_brute`,
 `dense_backward_brute` and `conv1d_backward_brute` over random shapes,
-single-element outputs included. The restricted-dispatch tests re-run the
-oracle, batch, Adam and trainer tests with numpy's wider SIMD targets off;
-numpy reads that setting at import, so they run in a child process.
+single-element outputs included; `_im2col` with `im2col_windows`, and
+`_fold_einsum` on non-contiguous operands or with `out` with the plain
+np.einsum call. The restricted-dispatch tests re-run the oracle, batch, Adam
+and trainer tests with numpy's wider SIMD targets off; numpy reads that
+setting at import, so they run in a child process.
 """
 
 import os
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from flowsentinel import layers as L
 
 from oracles import (conv1d_backward_brute, conv1d_brute, dense_backward_brute,
-                     dense_brute)
+                     dense_brute, im2col_windows)
 
 # Scalar multiply-adds that one conv example may cost the loop oracle, on top
 # of the single output position every shape gets.
@@ -128,6 +130,68 @@ def test_dense_backward_bytes_equal_brute(n, in_dim, out_dim, seed, relu,
         assert got[0][0, 0].tobytes() == np.float64(0.0).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 12), st.integers(1, 9),
+       st.integers(1, 5), _seeds)
+@example(1, 1, 1, 1, 0)  # N, t_out, C and k all 1
+@example(1, 1, 1, 5, 1)
+@example(32, 12, 1, 3, 2)  # conv1 at F=16
+@example(32, 4, 32, 3, 3)  # conv2 at F=16
+def test_im2col_bytes_equal_the_window_view(n, t_out, channels, k, seed):
+    # Both layouts: the forward's (1 + C*k, N, t_out) block, and the
+    # backward's per-sample (N, t_out, 1 + C*k) block filled through its
+    # transposed view.
+    x = _values(np.random.default_rng(seed), (n, t_out + k - 1, channels),
+                False, False)
+    want = im2col_windows(x, k)
+    got = L._im2col(x, k)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    rows = np.full((n, t_out, 1 + channels * k), np.nan)
+    assert L._im2col(x, k, rows.transpose(2, 0, 1)).base is rows
+    assert rows.tobytes() == want.transpose(1, 2, 0).copy().tobytes()
+
+
+_FOLD_SPECS = {  # spec: (a's shape, b's shape) from (J, P, Q)
+    "jn,jo->no": (lambda j, p, q: (j, p), lambda j, p, q: (j, q)),
+    "tj,tf->jf": (lambda j, p, q: (j, p), lambda j, p, q: (j, q)),
+    "jnt,jf->ntf": (lambda j, p, q: (j, p, q), lambda j, p, q: (j, p)),
+    "no,n->o": (lambda j, p, q: (j, p), lambda j, p, q: (j,)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_FOLD_SPECS)), st.integers(1, 30),
+       st.integers(1, 6), st.integers(1, 6), st.booleans(), st.booleans(),
+       _seeds)
+@example("no,n->o", 7, 1, 1, True, True, 0)  # a single-element output
+@example("jn,jo->no", 1, 1, 1, True, False, 1)
+@example("tj,tf->jf", 12, 97, 64, True, False, 2)  # conv2's dW fold at F=16
+def test_fold_einsum_copies_and_out_keep_the_bytes(spec, j, p, q, a_strided,
+                                                   b_strided, seed):
+    # A strided operand is a transposed view of a C-contiguous array, as
+    # `x.T` and `weights.T` are in `dense_forward`, and gets copied; the
+    # result, with and without `out`, is the plain np.einsum call's on
+    # C-contiguous copies, or its left fold for a single-element output.
+    rng = np.random.default_rng(seed)
+    a_shape, b_shape = (f(j, p, q) for f in _FOLD_SPECS[spec])
+
+    def operand(shape, strided):
+        v = _values(rng, shape, False, False)
+        return np.ascontiguousarray(v.T).T if strided and v.ndim > 1 else v
+
+    a, b = operand(a_shape, a_strided), operand(b_shape, b_strided)
+    want = np.einsum(spec, np.ascontiguousarray(a), np.ascontiguousarray(b))
+    if want.size == 1:
+        want = np.zeros_like(want)
+        for term in (a.reshape(j) * b.reshape(j)):
+            want = want + term
+    got = L._fold_einsum(spec, a, b)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    out = np.full(want.shape, np.nan)
+    assert L._fold_einsum(spec, a, b, out) is out
+    assert out.tobytes() == want.tobytes()
+
+
 # Elementwise multiply-adds that one conv-backward example may cost the
 # oracle: N * t_out * filters * channels * k, once for each of the weight and
 # input gradients.
@@ -137,9 +201,9 @@ _CONV_BACKWARD_BUDGET = 1_000_000
 @st.composite
 def _conv_backward_shapes(draw):
     """(N, length, channels, kernel_size, filters): N 1-40, channels 1-40,
-    filters 1-70 and lengths 3-60, N capped by the budget."""
+    filters 1-70 and lengths k-60 (t_out from 1), N capped by the budget."""
     k = draw(st.integers(1, 5))
-    length = draw(st.integers(max(3, k), 60))
+    length = draw(st.integers(k, 60))
     channels = draw(st.integers(1, 40))
     filters = draw(st.integers(1, 70))
     per_sample = (length - k + 1) * filters * channels * k
@@ -156,6 +220,8 @@ def _conv_backward_shapes(draw):
 @example((32, 16, 1, 3, 32), 3, False, False)  # conv1 at F=16
 @example((32, 7, 32, 3, 64), 4, True, False)  # conv2 at F=16
 @example((32, 21, 32, 3, 64), 5, True, True)  # conv2 at F=45
+@example((1, 1, 1, 1, 1), 7, False, False)  # N, t_out, C, k and filters all 1
+@example((5, 2, 3, 2, 4), 8, True, False)  # t_out=1 at k=2
 def test_conv_backward_bytes_equal_brute(shape, seed, relu, zero_rows):
     # relu draws the zeros of ReLU inputs and of relu_backward's gradients.
     n, length, channels, k, filters = shape

@@ -208,6 +208,23 @@ def test_in_place_adam_gives_the_bytes_of_the_expression(scale):
         params = got
 
 
+def test_adam_reuses_the_state_scratch_buffer():
+    # The scratch buffer lives in the state, so a step allocates only the
+    # array it returns; that array is new on every call.
+    rng = np.random.default_rng(3)
+    state = AdamState(shape=(5, 4))
+    scratch = state.scratch
+    params = rng.standard_normal((5, 4))
+    returned = []
+    for _ in range(3):
+        params = adam_step(state, params, rng.standard_normal((5, 4)))
+        assert state.scratch is scratch
+        assert not np.shares_memory(params, scratch)
+        returned.append(params)
+    assert len({id(p) for p in returned}) == 3
+    assert "scratch" not in repr(state)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 300), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_adam_ignores_the_sign_of_a_zero_gradient(size, steps, seed):

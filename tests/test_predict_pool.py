@@ -62,6 +62,38 @@ def test_pool_output_is_bit_equal_to_one_worker(monkeypatch, features, classes, 
     assert got[1] == got[2]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("call", ["predict", "validation"])
+def test_every_chunk_folds_the_same_dense_weights(monkeypatch, workers, call):
+    # Each dense layer's weights are laid out once per call, so that the
+    # `weights.T` operand dense_forward folds is C-contiguous: every chunk's
+    # fold reads the same memory, and `_fold_einsum` copies none of them.
+    monkeypatch.setattr(trainer, "WORKERS", workers)
+    fold = layers._fold_einsum
+    operands = []
+
+    def spy(spec, a, b, *out):
+        if spec == "jn,jo->no":
+            operands.append(b)
+        return fold(spec, a, b, *out)
+
+    monkeypatch.setattr(layers, "_fold_einsum", spy)
+    model, pre = _model(45, 19)
+    rows = _rows(5 * EVAL_CHUNK + 3, 45)
+    if call == "predict":
+        predict(model, pre, Tensor(rows))
+    else:
+        y = np.zeros(len(rows), dtype=np.intp)
+        trainer._eval_split(model, rows[:, :, None], y, np.arange(len(rows)))
+    for name in ("dense1.weights", "output.weights"):
+        weights = model.params[name]
+        seen = [b for b in operands if b.shape == weights.T.shape]
+        assert len(seen) == 6, name  # one per chunk
+        assert all(b.flags.c_contiguous for b in seen), name
+        assert len({b.__array_interface__["data"][0] for b in seen}) == 1, name
+        assert seen[0].tobytes() == weights.T.tobytes(), name
+
+
 def test_chunk_order_holds_with_more_workers_than_cores(monkeypatch):
     model, pre = _model(16, 3)
     rows = Tensor(_rows(20 * EVAL_CHUNK + 5, 16))
@@ -147,9 +179,9 @@ def test_an_early_error_cancels_the_chunks_not_yet_started(monkeypatch):
     started = []
     forward = trainer.forward
 
-    def counted_forward(model, x):
+    def counted_forward(model, x, *layers):
         started.append(len(x))
-        return forward(model, x)
+        return forward(model, x, *layers)
 
     monkeypatch.setattr(trainer, "forward", counted_forward)
     model, pre = _model(16, 3)
