@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -55,9 +56,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):  # reached only after --help
+        raise _HelpShown
 
 
 def _path(text: str) -> str:
@@ -105,25 +113,32 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv, dispatch, and map errors to exit codes."""
+    """Parse argv, dispatch, flush stdout, and map errors to exit codes.
+    Never ends the process."""
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
     args = argparse.Namespace(command=parser.prog)  # until argv is parsed
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise _UsageError("a command is required (train/evaluate/predict/inspect)")
-        handler = {
-            "train": _cmd_train,
-            "evaluate": _cmd_evaluate,
-            "predict": _cmd_predict,
-            "inspect": _cmd_inspect,
-        }[args.command]
-        # Overflow is caught by explicit finiteness checks and reported as
-        # one error line, so numpy's own warnings would only add noise.
-        with np.errstate(all="ignore"):
-            handler(args)
+        try:
+            args = parser.parse_args(argv)
+        except _HelpShown:  # the help text is printed; nothing to run
+            pass
+        else:
+            if args.command is None:
+                raise _UsageError("a command is required (train/evaluate/predict/inspect)")
+            handler = {
+                "train": _cmd_train,
+                "evaluate": _cmd_evaluate,
+                "predict": _cmd_predict,
+                "inspect": _cmd_inspect,
+            }[args.command]
+            # Overflow is caught by explicit finiteness checks and reported as
+            # one error line, so numpy's own warnings would only add noise.
+            with np.errstate(all="ignore"):
+                handler(args)
+        # what stdout still buffers fails here at the latest, not at exit
+        _flush(sys.stdout)
         return EXIT_OK
     except _UsageError as exc:
         print(parser.format_usage(), end="", file=sys.stderr)
@@ -132,10 +147,14 @@ def run(argv: list[str] | None = None) -> int:
     except ModelStoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (FlowSentinelError, OSError) as exc:
+    except FlowSentinelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
         # every file is wrapped with its path; an OSError left is a failed
         # write to stdout
-        print(f"error: {exc}", file=sys.stderr)
+        _drop_stdout()
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:  # numpy's message names the refused allocation
         detail = str(exc) or "an allocation failed"
@@ -146,8 +165,52 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_INTERRUPTED
 
 
+def _flush(stream) -> None:
+    if stream is not None:  # None when the descriptor was closed at start
+        stream.flush()
+
+
+def _drop_stdout() -> None:
+    """Point the process's stdout at os.devnull, so that what it still
+    buffers cannot fail a later flush: the report stays one line. A stream
+    an in-process caller put in its place is left alone."""
+    if sys.stdout is None or sys.stdout is not sys.__stdout__:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _tool_attached() -> bool:
+    """Whether a trace, profile or sys.monitoring (Python 3.12+) tool is
+    installed: coverage, cProfile or a debugger, which write their results
+    at the interpreter's exit."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6))  # ids 0-5
+
+
 def main() -> None:
-    sys.exit(run())
+    """Run the CLI and end the process with its exit code.
+
+    Once stdout and stderr are flushed, the process leaves by os._exit,
+    past the interpreter's teardown (its final collections, module teardown
+    and OpenBLAS's thread shutdown), so atexit handlers do not run. The CLI
+    registers none; the one `logging` registers has no handler to flush.
+    When a flush fails, or a trace, profile or monitoring tool is installed,
+    it leaves by sys.exit as before."""
+    code = run()
+    try:
+        _flush(sys.stdout)
+        _flush(sys.stderr)
+    except OSError:
+        pass
+    else:
+        if not _tool_attached():
+            os._exit(code)
+    sys.exit(code)
 
 
 def _load_taxonomy(args):
